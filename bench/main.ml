@@ -31,6 +31,7 @@ module W = Cards_workloads
 module B = Cards_baselines
 module T = Cards_util.Table
 module J = Cards_util.Json
+module O = Cards_obs
 
 let kb x = x * 1024
 let mcycles c = Printf.sprintf "%.1f" (float_of_int c /. 1e6)
@@ -98,6 +99,48 @@ let run_cycles compiled cfg =
 let wss_of compiled =
   let prof = B.Mira.profile compiled in
   Array.fold_left ( + ) 0 prof.B.Mira.per_sid_bytes
+
+let read_file path =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
+(* ---------- workload fixtures shared by the gated sections ---------- *)
+
+(* The fig9 chase suite's [pc-<variant>] with half its working set
+   local and a quarter of that remotable. *)
+let pc_fixture ?(scale = 16384) variant =
+  let compiled =
+    P.compile_source (W.Pointer_chase.source ~variant ~scale ~passes:2)
+  in
+  let local = wss_of compiled / 2 in
+  (compiled, cards_cfg ~k:1.0 ~local ~remot:(local / 4) ())
+
+(* The fig8 analytics workload at 50 K trips under Max-Use, with half
+   its working set plus a 256 KiB remotable cache local. *)
+let analytics_fixture () =
+  let compiled =
+    P.compile_source (W.Analytics.source ~trips:50000 ~query_passes:2)
+  in
+  let remot = kb 256 in
+  let local = (wss_of compiled / 2) + remot in
+  (compiled, cards_cfg ~policy:R.Policy.Max_use ~k:1.0 ~local ~remot ())
+
+(* [cfg] on a fabric that injects faults at [rate] from seed 7. *)
+let seed7_faults ~rate cfg =
+  { cfg with
+    R.Runtime.fabric_config =
+      { cfg.R.Runtime.fabric_config with
+        Cards_net.Fabric.faults =
+          { Cards_net.Fabric.no_faults with
+            Cards_net.Fabric.fault_rate = rate; fault_seed = 7 } } }
+
+(* One cause's stall over the whole ledger. *)
+let cause_total attr cause =
+  Option.value ~default:0
+    (List.assoc_opt cause (O.Attribution.cause_totals attr))
 
 (* ---------------------------------------------------------------- *)
 (* Table 1: primitive overheads, median cycles over 100 trials.     *)
@@ -383,13 +426,8 @@ let fabric_section () =
                 "objs/batch" ]
   in
   List.iter
-    (fun (variant, scale, passes) ->
-      let src = W.Pointer_chase.source ~variant ~scale ~passes in
-      let compiled = P.compile_source src in
-      let wss = wss_of compiled in
-      let local = wss / 2 in
-      let remot = local / 4 in
-      let batched_cfg = cards_cfg ~k:1.0 ~local ~remot () in
+    (fun (variant, scale) ->
+      let compiled, batched_cfg = pc_fixture ~scale variant in
       let unbatched_cfg =
         { batched_cfg with
           batching = false;
@@ -422,7 +460,7 @@ let fabric_section () =
            else
              Printf.sprintf "%.1f"
                (float_of_int fs.batched_objects /. float_of_int fs.batches)) ])
-    [ ("array", 32768, 2); ("list", 16384, 2) ];
+    [ ("array", 32768); ("list", 16384) ];
   T.print t;
   print_endline
     "Stride windows and jump-pointer chases both coalesce; the checks\n\
@@ -433,9 +471,7 @@ let fabric_section () =
 (* Profile: cycle attribution for the fig8/fig9 workloads.          *)
 (* ---------------------------------------------------------------- *)
 
-module O = Cards_obs
-
-let profile_run name compiled cfg =
+let profile_run name (compiled, cfg) =
   let res, rt = P.run compiled cfg in
   let prof = R.Runtime.profile rt in
   T.print
@@ -443,7 +479,7 @@ let profile_run name compiled cfg =
        ~title:
          (Printf.sprintf "%s: cycle attribution (%s cycles)" name
             (T.fmt_cycles (float_of_int res.cycles)))
-       ~names:(R.Runtime.ds_name rt) ~total:res.cycles prof);
+       ~names:(R.Runtime.ds_name rt) prof (R.Runtime.attribution rt));
   T.print (O.Export.latency_table ~title:(name ^ ": fetch latency") prof);
   T.print
     (O.Export.fabric_table ~title:(name ^ ": fabric")
@@ -454,28 +490,16 @@ let profile_section () =
   header "Profile: where the simulated cycles go (fig8/fig9 workloads)";
   (* The fig8 analytics workload under memory pressure: demand stalls
      and queueing should dominate the remoted structures. *)
-  let src = W.Analytics.source ~trips:50000 ~query_passes:2 in
-  let compiled = P.compile_source src in
-  let wss = wss_of compiled in
-  let remot = kb 256 in
-  let local = (wss / 2) + remot in
-  profile_run "analytics (50% local)" compiled
-    (cards_cfg ~policy:R.Policy.Max_use ~k:1.0 ~local ~remot ());
+  profile_run "analytics (50% local)" (analytics_fixture ());
   (* The fig9 chase suite's hardest cases: the jump prefetcher turns
      demand stalls into pf-hidden cycles on the list from the second
      traversal on; the tree's greedy prefetcher hides less. *)
   List.iter
-    (fun (variant, scale, passes) ->
-      let src = W.Pointer_chase.source ~variant ~scale ~passes in
-      let compiled = P.compile_source src in
-      let wss = wss_of compiled in
-      let local = wss / 2 in
-      let remot = local / 4 in
+    (fun variant ->
       profile_run
         (Printf.sprintf "pc-%s (50%% local)" variant)
-        compiled
-        (cards_cfg ~k:1.0 ~local ~remot ()))
-    [ ("list", 16384, 2); ("tree", 16384, 2) ]
+        (pc_fixture variant))
+    [ "list"; "tree" ]
 
 (* ---------------------------------------------------------------- *)
 (* Attribution: stall root causes + fetch-latency percentiles.      *)
@@ -488,7 +512,7 @@ let profile_section () =
    cycle counts and fabric counters across PRs. *)
 let attr_section () =
   header "Attribution: stall root causes (fig8/fig9 workloads, 50% local)";
-  let run_one tag compiled cfg =
+  let run_one tag (compiled, cfg) =
     let res, rt = P.run compiled cfg in
     let prof = R.Runtime.profile rt in
     let attr = R.Runtime.attribution rt in
@@ -516,22 +540,10 @@ let attr_section () =
          ~title:(tag ^ ": fetch latency percentiles") ~names prof);
     record_experiment ~tag ~cycles:res.cycles rt
   in
-  let analytics = P.compile_source (W.Analytics.source ~trips:50000 ~query_passes:2) in
-  let wss = wss_of analytics in
-  let remot = kb 256 in
-  let local = (wss / 2) + remot in
-  run_one "attr-analytics" analytics
-    (cards_cfg ~policy:R.Policy.Max_use ~k:1.0 ~local ~remot ());
+  run_one "attr-analytics" (analytics_fixture ());
   List.iter
-    (fun (variant, scale, passes) ->
-      let compiled =
-        P.compile_source (W.Pointer_chase.source ~variant ~scale ~passes)
-      in
-      let wss = wss_of compiled in
-      let local = wss / 2 in
-      let remot = local / 4 in
-      run_one ("attr-pc-" ^ variant) compiled (cards_cfg ~k:1.0 ~local ~remot ()))
-    [ ("list", 16384, 2); ("tree", 16384, 2) ];
+    (fun variant -> run_one ("attr-pc-" ^ variant) (pc_fixture variant))
+    [ "list"; "tree" ];
   print_endline
     "Every stalled cycle lands in exactly one cause bucket; the ledger\n\
      total matching (cycles - compute) above is a hard assertion."
@@ -541,15 +553,13 @@ let attr_section () =
 (* ---------------------------------------------------------------- *)
 
 (* The resilience suite: the fig9 list chase under increasing injected
-   fault rates.  Four hard assertions per rate —
+   fault rates.  Three hard assertions per rate —
 
      1. program outputs are bit-identical to the fault-free run
         (faults perturb timing only, never data);
-     2. the profiler stays exact under retries
-        (Profile.attributed = cycles);
-     3. the stall ledger stays exact and, at any nonzero rate, charges
+     2. the stall ledger stays exact and, at any nonzero rate, charges
         a nonzero Retry bucket (Attribution.total = cycles - compute);
-     4. graceful degradation keeps the slowdown bounded
+     3. graceful degradation keeps the slowdown bounded
         (cycles <= FAULT_SLOWDOWN_BOUND x the fault-free run, even at a
         50% fault rate).
 
@@ -562,21 +572,8 @@ let fault_slowdown_bound = 8
 
 let faults_section () =
   header "Faults: retry/backoff and graceful degradation (pc-list, 50% local)";
-  let src = W.Pointer_chase.source ~variant:"list" ~scale:16384 ~passes:2 in
-  let compiled = P.compile_source src in
-  let wss = wss_of compiled in
-  let local = wss / 2 in
-  let remot = local / 4 in
-  let cfg_at rate =
-    let base = cards_cfg ~k:1.0 ~local ~remot () in
-    { base with
-      R.Runtime.fabric_config =
-        { base.R.Runtime.fabric_config with
-          Cards_net.Fabric.faults =
-            { Cards_net.Fabric.no_faults with
-              Cards_net.Fabric.fault_rate = rate; fault_seed = 7 } } }
-  in
-  let run_at rate = P.run compiled (cfg_at rate) in
+  let compiled, cfg = pc_fixture "list" in
+  let run_at rate = P.run compiled (seed7_faults ~rate cfg) in
   let base_res, base_rt = run_at 0.0 in
   record_experiment ~tag:"faults-pc-list-r0" ~cycles:base_res.cycles base_rt;
   let t =
@@ -595,31 +592,20 @@ let faults_section () =
         Printf.eprintf "FAULTS: outputs diverge at rate %.2f\n" rate;
         exit 1
       end;
-      let prof = R.Runtime.profile rt in
       let attr = R.Runtime.attribution rt in
-      (* 2. Profiler exactness survives retries and backoff waits. *)
-      if O.Profile.attributed prof <> res.cycles then begin
-        Printf.eprintf "FAULTS: profile attributed %d <> cycles %d at rate %.2f\n"
-          (O.Profile.attributed prof) res.cycles rate;
-        exit 1
-      end;
-      (* 3. Ledger exactness, with the retry cost visible as Retry. *)
-      let stall = res.cycles - O.Profile.compute prof in
+      (* 2. Ledger exactness, with the retry cost visible as Retry. *)
+      let stall = res.cycles - O.Profile.compute (R.Runtime.profile rt) in
       if O.Attribution.total attr <> stall then begin
         Printf.eprintf "FAULTS: ledger total %d <> stall %d at rate %.2f\n"
           (O.Attribution.total attr) stall rate;
         exit 1
       end;
-      let retry_stall =
-        List.fold_left
-          (fun acc (c, v) -> if c = O.Attribution.Retry then acc + v else acc)
-          0 (O.Attribution.cause_totals attr)
-      in
+      let retry_stall = cause_total attr O.Attribution.Retry in
       if rate > 0.0 && retry_stall = 0 then begin
         Printf.eprintf "FAULTS: no Retry stall charged at rate %.2f\n" rate;
         exit 1
       end;
-      (* 4. Degradation keeps the fault tax bounded. *)
+      (* 3. Degradation keeps the fault tax bounded. *)
       if res.cycles > fault_slowdown_bound * base_res.cycles then begin
         Printf.eprintf "FAULTS: %d cycles > %dx fault-free %d at rate %.2f\n"
           res.cycles fault_slowdown_bound base_res.cycles rate;
@@ -667,8 +653,8 @@ let faults_section () =
      exit 1);
   print_endline
     "Outputs bit-identical to the fault-free run at every rate; the\n\
-     profiler and stall ledger stay exact (Retry bucket included); the\n\
-     slowdown bound and same-seed determinism are hard assertions."
+     stall ledger stays exact (Retry bucket included); the slowdown\n\
+     bound and same-seed determinism are hard assertions."
 
 (* ---------------------------------------------------------------- *)
 (* Spans: causal tracing reconciliation + critical path.            *)
@@ -737,11 +723,7 @@ let spans_section () =
     end;
     (* 3. Exact reconciliation against the stall ledger at rate 1.0. *)
     let tot = O.Span.cpu_totals col in
-    let ledger cause =
-      List.fold_left
-        (fun acc (c, v) -> if c = cause then acc + v else acc)
-        0 (O.Attribution.cause_totals attr)
-    in
+    let ledger = cause_total attr in
     let check what spans ledger_v =
       if spans <> ledger_v then begin
         Printf.eprintf "SPANS: %s: span %s %d <> ledger %d\n" tag what spans
@@ -798,31 +780,11 @@ let spans_section () =
         T.fmt_cycles (float_of_int rep.O.Critical_path.r_chain_stall);
         dominant ]
   in
-  let pc =
-    P.compile_source (W.Pointer_chase.source ~variant:"list" ~scale:16384 ~passes:2)
-  in
-  let wss = wss_of pc in
-  let local = wss / 2 in
-  let remot = local / 4 in
-  run_one "spans-pc-list" pc (cards_cfg ~k:1.0 ~local ~remot ());
-  let faulty =
-    let base = cards_cfg ~k:1.0 ~local ~remot () in
-    { base with
-      R.Runtime.fabric_config =
-        { base.R.Runtime.fabric_config with
-          Cards_net.Fabric.faults =
-            { Cards_net.Fabric.no_faults with
-              Cards_net.Fabric.fault_rate = 0.2; fault_seed = 7 } } }
-  in
-  run_one "spans-pc-list-r20" pc faulty;
-  let analytics =
-    P.compile_source (W.Analytics.source ~trips:50000 ~query_passes:2)
-  in
-  let wss = wss_of analytics in
-  let remot = kb 256 in
-  let local = (wss / 2) + remot in
-  run_one "spans-analytics" analytics
-    (cards_cfg ~policy:R.Policy.Max_use ~k:1.0 ~local ~remot ());
+  let pc, pc_cfg = pc_fixture "list" in
+  run_one "spans-pc-list" pc pc_cfg;
+  run_one "spans-pc-list-r20" pc (seed7_faults ~rate:0.2 pc_cfg);
+  let analytics, analytics_cfg = analytics_fixture () in
+  run_one "spans-analytics" analytics analytics_cfg;
   T.print t;
   print_endline
     "Tracing is read-only (traced runs bit-identical to bare runs); at\n\
@@ -1165,13 +1127,6 @@ let host () =
 
 let layout_section () =
   header "Layout: compiler factorization (hot/cold side pools, AoS->SoA)";
-  let read_file path =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
   let fact_options = { P.cards_options with factorize = true } in
   let per_ds_sum rt =
     List.fold_left
@@ -1303,13 +1258,6 @@ let whatif_rel_error = 0.15
 
 let whatif_section () =
   header "What-if: virtual speedups (span-graph replay vs re-execution)";
-  let read_file path =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
   let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "WHATIF: %s\n" m; exit 1) fmt in
   let run_one wl compiled cfg =
     let obs = O.Sink.create ~span_rate:1.0 () in
@@ -1402,14 +1350,8 @@ let whatif_section () =
     (cards_cfg ~policy:R.Policy.All_remotable ~k:0.0 ~local:(kb 1024)
        ~remot:(kb 768) ());
   (* The spans suite's analytics workload at 50% local. *)
-  let analytics =
-    P.compile_source (W.Analytics.source ~trips:50000 ~query_passes:2)
-  in
-  let wss = wss_of analytics in
-  let remot = kb 256 in
-  let local = (wss / 2) + remot in
-  run_one "analytics" analytics
-    (cards_cfg ~policy:R.Policy.Max_use ~k:1.0 ~local ~remot ());
+  let analytics, analytics_cfg = analytics_fixture () in
+  run_one "analytics" analytics analytics_cfg;
   print_endline
     "The identity scenario reproduces the measured run and the critical\n\
      path to the cycle; every other scenario is re-executed for real \n\

@@ -454,11 +454,11 @@ let export_obs rt obs ~trace ~events ~metrics ~metrics_csv ~spans =
        | None -> ()))
     obs
 
-let print_profile rt total =
+let print_profile rt =
   let names = R.Runtime.ds_name rt in
   let prof = R.Runtime.profile rt in
   let attr = R.Runtime.attribution rt in
-  T.print (O.Export.profile_table ~names ~total prof);
+  T.print (O.Export.profile_table ~names prof attr);
   T.print (O.Export.attribution_table ~names attr);
   T.print (O.Export.attribution_sites_table ~names attr);
   T.print (O.Export.latency_table prof);
@@ -651,7 +651,7 @@ let run_cmd =
                   ~degrade_level:(R.Runtime.degrade_level rt) ()))
         end;
         if report then print_report rt;
-        if profile then print_profile rt res.cycles;
+        if profile then print_profile rt;
         export_obs rt obs ~trace ~events ~metrics ~metrics_csv ~spans;
         if whatif then begin
           match Option.bind obs O.Sink.spans with

@@ -3,17 +3,16 @@
    access site (function, basic block, instruction index — the
    identity the guard-insertion rewrite operates on).
 
-   The exactness invariant mirrors the profiler's
-   [compute + Σ buckets = total]:
-
      Σ_{(ds, site)} Σ_cause charge = total stall cycles
                                    = Runtime.now - Profile.compute
 
-   Every runtime clock advance that is not interpreter compute lands
-   here exactly once, at its call site, with whatever split the
-   fabric exposes (Fabric.transfer's queued/proto/serialization
-   decomposition).  Like the profiler, the ledger never writes the
-   clock, so attribution is perturbation-free by construction. *)
+   holds by construction: the runtime's one stall function advances
+   the clock and charges this ledger in the same step, at its call
+   site, with whatever split the fabric exposes (Fabric.transfer's
+   queued/proto/serialization decomposition).  Every coarser stall
+   view (the per-structure profile table) is a fold over these cells.
+   The ledger never writes the clock, so attribution is
+   perturbation-free by construction. *)
 
 type cause =
   | Proto

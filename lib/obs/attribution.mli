@@ -1,8 +1,5 @@
-(** Stall root-cause attribution.
-
-    The cycle-attribution profiler ({!Profile}) answers {e how much}
-    time each structure stalled; this ledger answers {e why}: every
-    stalled CPU cycle is charged to exactly one root cause —
+(** Stall root-cause attribution: the one record of every stalled CPU
+    cycle.  Each is charged to exactly one root cause —
 
     - {!Proto}: per-request protocol overhead (doorbells, completion
       polling, bookkeeping) plus address-to-object mapping;
@@ -20,14 +17,17 @@
 
     and double-keyed by data structure {e and} access site (function,
     basic block, instruction index: the identity the compiler's
-    rewrite operates on, threaded from the interpreter).  The
-    exactness invariant mirrors the profiler's:
+    rewrite operates on, threaded from the interpreter).  The runtime
+    advances its clock for a stall and charges the ledger in one step,
+    so
 
     {[ total ledger = Runtime.now - Profile.compute ]}
 
-    — every non-compute clock advance lands here exactly once, with
-    the queue/protocol/serialization split {!Cards_net.Fabric.transfer}
-    exposes.  The ledger never writes the clock: attributed and
+    holds by construction — every non-compute clock advance lands here
+    exactly once, with the queue/protocol/serialization split
+    {!Cards_net.Fabric.transfer} exposes.  Per-structure views
+    ([Export.profile_table], [Export.attribution_table]) are folds
+    over it.  The ledger never writes the clock: attributed and
     unattributed runs are cycle-identical. *)
 
 type cause =
@@ -67,9 +67,8 @@ val charge :
     one-entry memo makes consecutive same-site charges O(1). *)
 
 val total : t -> int
-(** Σ over every key and cause — must equal
-    [Runtime.now - Profile.compute] (the exactness invariant tests
-    assert). *)
+(** Σ over every key and cause; for a runtime's ledger it equals
+    [Runtime.now - Profile.compute]. *)
 
 val causes : t -> cause list
 (** Display order: protocol, wire, one [Queue] entry per queue pair

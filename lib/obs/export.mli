@@ -70,13 +70,16 @@ val write_file : string -> string -> unit
 val profile_table :
   ?title:string ->
   names:(int -> string) ->
-  total:int ->
   Profile.t ->
+  Attribution.t ->
   Cards_util.Table.t
-(** Per-structure cycle-attribution table.  Rows sum exactly to
-    [total] (the run's cycle count): per-handle wall buckets, the
-    compute residual, and — only if attribution ever missed cycles —
-    an explicit [(unattributed)] row. *)
+(** Per-structure cycle-attribution table: a coarse view of the stall
+    ledger, one row per structure it charged, with its causes grouped
+    into columns (guard = [Guard_exec], demand stall = [Proto] +
+    [Wire], queueing = every [Queue qp], pf stall = [Pf_wait], retry,
+    trap, alloc = [Bookkeeping]) and the profile's [p_hidden]
+    estimate alongside.  A compute row and a TOTAL row
+    ([compute + ledger total], the run's cycle count) close it. *)
 
 val latency_table : ?title:string -> Profile.t -> Cards_util.Table.t
 (** Log₂ fetch-latency histogram with ASCII bars, closed by a

@@ -3,20 +3,9 @@ module Stats = Cards_util.Stats
 let hist_buckets = Stats.log2_buckets
 
 type buckets = {
-  mutable p_guard : int;
-  mutable p_demand : int;
-  mutable p_queue : int;
-  mutable p_pf_stall : int;
-  mutable p_retry : int;
-  mutable p_trap : int;
-  mutable p_alloc : int;
   mutable p_hidden : int;
   lat : Stats.t;
 }
-
-let make_buckets () =
-  { p_guard = 0; p_demand = 0; p_queue = 0; p_pf_stall = 0; p_retry = 0;
-    p_trap = 0; p_alloc = 0; p_hidden = 0; lat = Stats.create () }
 
 type t = {
   per : (int, buckets) Hashtbl.t;
@@ -29,7 +18,7 @@ let buckets t h =
   match Hashtbl.find_opt t.per h with
   | Some b -> b
   | None ->
-    let b = make_buckets () in
+    let b = { p_hidden = 0; lat = Stats.create () } in
     Hashtbl.replace t.per h b;
     b
 
@@ -37,12 +26,8 @@ let add_compute t c = t.p_compute <- t.p_compute + c
 
 let compute t = t.p_compute
 
-let wall b =
-  b.p_guard + b.p_demand + b.p_queue + b.p_pf_stall + b.p_retry + b.p_trap
-  + b.p_alloc
-
-let attributed t =
-  Hashtbl.fold (fun _ b acc -> acc + wall b) t.per t.p_compute
+let hidden t h =
+  match Hashtbl.find_opt t.per h with Some b -> b.p_hidden | None -> 0
 
 let handles t =
   List.sort compare (Hashtbl.fold (fun h _ acc -> h :: acc) t.per [])

@@ -1,40 +1,24 @@
-(** Cycle-attribution profiler.
+(** What the runtime observes besides its stalls.
 
-    Splits the run's total simulated cycles into buckets, per data
-    structure (handle [0] = unmanaged segment / runtime bookkeeping
-    not tied to one structure), plus one global compute bucket fed by
-    the interpreter's instruction charges.  The runtime attributes
-    {e every} clock advance to exactly one bucket, so
+    The interpreter's instruction charges feed one global compute
+    counter; every other cycle of the run is a stall, charged once to
+    the {!Attribution} ledger.  The runtime writes its clock only
+    through those two charges, so
 
-    {[ compute + Σ_handles wall(buckets) = Runtime.now ]}
+    {[ compute + Attribution.total = Runtime.now ]}
 
-    holds exactly — the invariant [test/test_obs.ml] asserts and the
-    property that makes "where did the cycles go" answerable without
-    double counting.  Attribution never touches the clock itself, so
-    profiled and unprofiled runs report identical cycle counts.
+    holds by construction.  Neither counter ever touches the clock, so
+    observed and unobserved runs report identical cycle counts.
 
-    Also collects per-structure fetch-latency distributions
-    (demand-fault stalls and late-prefetch waits) in bounded-memory
-    log-bucket histograms ({!Cards_util.Stats}), so p50/p90/p99/p999
-    tail latency is answerable per structure without retaining
-    samples. *)
+    Per data structure (handle [0] = unmanaged segment) it also keeps
+    the fetch-latency distribution (demand-fault stalls and late-
+    prefetch waits) in a bounded-memory log-bucket histogram
+    ({!Cards_util.Stats}), so p50/p90/p99/p999 tail latency is
+    answerable per structure without retaining samples, and the
+    informational [p_hidden] estimate.  [Export.profile_table] renders
+    these next to a per-structure view of the ledger. *)
 
 type buckets = {
-  mutable p_guard : int;
-      (** guard executions: custody checks + local hit/miss cost *)
-  mutable p_demand : int;
-      (** demand-fetch stall: protocol + wire + mapping cycles *)
-  mutable p_queue : int;
-      (** demand-fetch cycles spent queued behind other transfers *)
-  mutable p_pf_stall : int;
-      (** stalls waiting on late (in-flight) prefetches *)
-  mutable p_retry : int;
-      (** failed fetch attempts, backoff waits, and reliable-channel
-          escalations under fault injection (zero when faults are off) *)
-  mutable p_trap : int;
-      (** clean-fault trap penalties on unguarded paths *)
-  mutable p_alloc : int;
-      (** ds_init / dsalloc / loop-check bookkeeping *)
   mutable p_hidden : int;
       (** {e informational}, not wall-clock: fetch latency hidden by
           timely prefetches (what demand faults would have cost) *)
@@ -46,18 +30,15 @@ type t
 val create : unit -> t
 
 val buckets : t -> int -> buckets
-(** Bucket record for a handle, auto-created. *)
+(** Per-structure record for a handle, auto-created. *)
 
 val add_compute : t -> int -> unit
-(** Charge interpreter/compute cycles (the residual category). *)
+(** Charge interpreter/compute cycles. *)
 
 val compute : t -> int
 
-val wall : buckets -> int
-(** Sum of one handle's wall-clock buckets ([p_hidden] excluded). *)
-
-val attributed : t -> int
-(** [compute + Σ wall] over all handles; equals the runtime clock. *)
+val hidden : t -> int -> int
+(** A handle's [p_hidden], [0] for a handle never seen. *)
 
 val handles : t -> int list
 

@@ -2,7 +2,8 @@
 # Tier-1 gate: the whole build, the whole test suite, an
 # observability smoke run (compile + execute a bundled example with
 # tracing, metrics, and the cycle-attribution profile on, then make
-# sure the emitted Chrome trace is non-empty), and the bench
+# sure the emitted Chrome trace is non-empty, plus one adaptive-
+# prefetch run with batching off), and the bench
 # regression gates: fabric, attribution, fault-injection, causal-span,
 # what-if prediction, execution-engine, layout-factorization and
 # many-tenant serving experiments are diffed against the committed
@@ -95,6 +96,11 @@ dune exec --no-build bin/cards_cli.exe -- run examples/minic/listing1.mc \
 test -s "$trace" || { echo "check.sh: empty trace file" >&2; exit 1; }
 grep -q traceEvents "$trace" || {
   echo "check.sh: trace is not a Chrome trace_event file" >&2; exit 1; }
+# Adaptive prefetcher selection with unbatched prefetch issue, end to
+# end (no bench gate runs adaptive mode).
+dune exec --no-build bin/cards_cli.exe -- run examples/minic/fig9_list.mc \
+  --policy all-remotable --local 1M --remotable 768K --no-batching \
+  --prefetch adaptive --profile > /dev/null
 
 if [ "$quick" = yes ]; then
   echo "== check.sh: quick pass green (bench gates skipped)"
@@ -139,7 +145,7 @@ gate attr BENCH_attr.json '"experiments"'
 
 echo "== bench: fault-injection gate (BENCH_faults.json, 2% tolerance)"
 # The faults section hard-asserts output invariance vs the fault-free
-# run, profiler/ledger exactness (Retry bucket included), a bounded
+# run, stall-ledger exactness (Retry bucket included), a bounded
 # slowdown under degradation, and same-seed determinism; the gate
 # then diffs cycles and fabric/fault counters against the baseline.
 gate faults BENCH_faults.json '"faults_transient"'

@@ -9,10 +9,9 @@
 
    and every cell must (a) print bit-identical output — faults, retries,
    backoff waits and reliable-channel escalations perturb timing only,
-   never data — and (b) keep both accounting invariants exact:
+   never data — and (b) keep the accounting identity exact:
 
-     Profile.attributed = Runtime.now
-     Attribution.total  = Runtime.now - Profile.compute
+     Profile.compute + Attribution.total = Runtime.now
 
    Each cell additionally runs under BOTH execution engines — the
    pre-decoded engine (with its runtime fast path) and the reference
@@ -78,7 +77,6 @@ let run_oracle seed =
                 let prof = R.Runtime.profile rt in
                 let ok =
                   res.output = reference.output
-                  && O.Profile.attributed prof = R.Runtime.now rt
                   && O.Attribution.total (R.Runtime.attribution rt)
                      = R.Runtime.now rt - O.Profile.compute prof
                 in
@@ -86,13 +84,13 @@ let run_oracle seed =
                   QCheck.Test.fail_reportf
                     "seed %d diverged at %s\n\
                      output %S vs reference %S\n\
-                     attributed %d, now %d, ledger %d, compute %d\n\
+                     now %d, ledger %d, compute %d\n\
                      program:\n%s"
                     seed
                     (cell_name ~qp ~batching ~rate)
                     (String.concat "|" res.output)
                     (String.concat "|" reference.output)
-                    (O.Profile.attributed prof) (R.Runtime.now rt)
+                    (R.Runtime.now rt)
                     (O.Attribution.total (R.Runtime.attribution rt))
                     (O.Profile.compute prof) src;
                 (* Engine identity: the same cell through the reference
@@ -164,8 +162,6 @@ let test_pointer_chase_worst_cell () =
   let res, rt = P.run ~fuel ~engine:M.Decoded compiled cfg in
   check Alcotest.(list string) "output" reference.output res.output;
   let prof = R.Runtime.profile rt in
-  check Alcotest.int "profiler exact" (R.Runtime.now rt)
-    (O.Profile.attributed prof);
   check Alcotest.int "ledger exact"
     (R.Runtime.now rt - O.Profile.compute prof)
     (O.Attribution.total (R.Runtime.attribution rt));

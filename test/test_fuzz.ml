@@ -196,11 +196,9 @@ let run_differential seed =
     && List.for_all
          (fun mk ->
            let res, rt = P.run ~fuel compiled (mk ()) in
-           let prof = R.Runtime.profile rt in
            res.output = reference.output
-           && O.Profile.attributed prof = R.Runtime.now rt
            && O.Attribution.total (R.Runtime.attribution rt)
-              = R.Runtime.now rt - O.Profile.compute prof)
+              = R.Runtime.now rt - O.Profile.compute (R.Runtime.profile rt))
          fabric_matrix
     && (let tfm = B.Trackfm.compile_source src in
         let res, _ = B.Trackfm.run ~fuel tfm ~local_bytes:(kb 32) in

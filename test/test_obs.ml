@@ -1,6 +1,6 @@
-(* Tests for the observability layer: the event ring, the
-   cycle-attribution profiler's exactness invariant, epoch metrics,
-   the exporters, and — critically — that observability never perturbs
+(* Tests for the observability layer: the event ring, the accounting
+   identity (compute + stall ledger = cycles), epoch metrics, the
+   exporters, and — critically — that observability never perturbs
    simulated time. *)
 
 module O = Cards_obs
@@ -31,42 +31,43 @@ let full_sink () =
 
 (* ---------- cycle attribution ---------- *)
 
+(* Σ of the ledger's fabric-wait causes: what the profile table shows
+   as demand stall plus queueing. *)
+let demand_and_queue attr =
+  List.fold_left
+    (fun acc (c, v) ->
+      match c with
+      | O.Attribution.Proto | O.Attribution.Wire | O.Attribution.Queue _ ->
+        acc + v
+      | _ -> acc)
+    0 (O.Attribution.cause_totals attr)
+
 let test_attribution_sums_to_total () =
   let res, rt = P.run (Lazy.force chase) pressure_cfg in
   let prof = R.Runtime.profile rt in
-  check Alcotest.int "compute + Σ wall buckets = total cycles" res.cycles
-    (O.Profile.attributed prof);
+  let attr = R.Runtime.attribution rt in
+  check Alcotest.int "compute + ledger total = total cycles" res.cycles
+    (O.Profile.compute prof + O.Attribution.total attr);
   (* The identity must not be vacuous: the run really faulted and the
-     fault cycles really landed in per-structure buckets. *)
+     fault cycles really landed as demand stall and queueing. *)
   let tot = R.Rt_stats.total (R.Runtime.stats rt) in
   check Alcotest.bool "remote faults occurred" true (tot.remote_faults > 0);
-  let demand =
-    List.fold_left
-      (fun acc h ->
-        let b = O.Profile.buckets prof h in
-        acc + b.O.Profile.p_demand + b.O.Profile.p_queue)
-      0 (O.Profile.handles prof)
-  in
-  check Alcotest.bool "demand/queue buckets non-empty" true (demand > 0);
-  check Alcotest.bool "compute bucket non-empty" true
-    (O.Profile.compute prof > 0);
+  check Alcotest.bool "demand/queue causes non-empty" true
+    (demand_and_queue attr > 0);
+  check Alcotest.bool "compute non-empty" true (O.Profile.compute prof > 0);
   (* Fetch latencies were recorded for the faults. *)
   let hist_total = Array.fold_left ( + ) 0 (O.Profile.merged_hist prof) in
   check Alcotest.bool "latency histogram populated" true (hist_total > 0)
 
 let test_attribution_all_pinned_is_pure_compute_and_alloc () =
   (* Everything pinned: no guards survive versioning's clean loops, no
-     faults — attribution still balances, via compute + alloc alone. *)
+     faults — the identity still balances, via compute + alloc alone. *)
   let res, rt = P.run (Lazy.force chase) R.Runtime.default_config in
-  let prof = R.Runtime.profile rt in
-  check Alcotest.int "attributed = total" res.cycles
-    (O.Profile.attributed prof);
-  List.iter
-    (fun h ->
-      let b = O.Profile.buckets prof h in
-      check Alcotest.int "no demand stall when pinned" 0 b.O.Profile.p_demand;
-      check Alcotest.int "no queueing when pinned" 0 b.O.Profile.p_queue)
-    (O.Profile.handles prof)
+  let attr = R.Runtime.attribution rt in
+  check Alcotest.int "compute + ledger total = total cycles" res.cycles
+    (O.Profile.compute (R.Runtime.profile rt) + O.Attribution.total attr);
+  check Alcotest.int "no demand stall or queueing when pinned" 0
+    (demand_and_queue attr)
 
 (* ---------- stall root-cause attribution ---------- *)
 
@@ -290,26 +291,84 @@ let test_events_jsonl_parses () =
       | _ -> Alcotest.fail "event line missing fields")
     lines
 
+(* The whitespace-separated cells of the rendered row whose first cell
+   is [name]. *)
+let row_cells rendered name =
+  String.split_on_char '\n' rendered
+  |> List.find_map (fun line ->
+         match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+         | first :: _ as cells when first = name -> Some cells
+         | _ -> None)
+
 let test_profile_table_renders () =
   let res, rt = P.run (Lazy.force chase) pressure_cfg in
   let s =
     Cards_util.Table.render
-      (O.Export.profile_table ~names:(R.Runtime.ds_name rt) ~total:res.cycles
-         (R.Runtime.profile rt))
+      (O.Export.profile_table ~names:(R.Runtime.ds_name rt)
+         (R.Runtime.profile rt) (R.Runtime.attribution rt))
   in
-  check Alcotest.bool "has TOTAL row" true
-    (String.length s > 0
-     && (let re = "TOTAL" in
-         let n = String.length s and m = String.length re in
-         let rec go i = i + m <= n && (String.sub s i m = re || go (i + 1)) in
-         go 0));
-  (* Exact attribution means no (unattributed) row. *)
-  let has sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
+  check
+    Alcotest.(option (list string))
+    "TOTAL row is the run's cycle count"
+    (Some
+       [ "TOTAL"; Cards_util.Table.fmt_cycles (float_of_int res.cycles);
+         "100.0%" ])
+    (row_cells s "TOTAL")
+
+(* The profile table is a view of the ledger: known charges across two
+   sites and every cause land in their columns, rows are structures in
+   handle order, and TOTAL is compute plus the ledger. *)
+let test_profile_table_groups_ledger () =
+  let attr = O.Attribution.create () in
+  let charge ds ?(fn = "f") ?(block = 0) cause c =
+    O.Attribution.charge attr ~ds ~fn ~block ~instr:1 cause c
   in
-  check Alcotest.bool "no unattributed row" false (has "(unattributed)")
+  charge 1 O.Attribution.Proto 60;
+  charge 1 ~fn:"g" ~block:3 O.Attribution.Proto 40;
+  charge 1 O.Attribution.Wire 20;
+  charge 1 (O.Attribution.Queue 0) 30;
+  charge 1 ~fn:"g" ~block:3 (O.Attribution.Queue 1) 5;
+  charge 1 O.Attribution.Guard_exec 400;
+  charge 1 O.Attribution.Bookkeeping 7;
+  charge 2 O.Attribution.Guard_exec 50;
+  charge 2 (O.Attribution.Queue 1) 9;
+  charge 2 O.Attribution.Pf_wait 11;
+  charge 2 O.Attribution.Retry 13;
+  charge 2 O.Attribution.Trap 16;
+  charge 2 ~fn:"g" O.Attribution.Bookkeeping 3;
+  charge 0 O.Attribution.Bookkeeping 8;
+  let prof = O.Profile.create () in
+  O.Profile.add_compute prof 1328;
+  (O.Profile.buckets prof 1).O.Profile.p_hidden <- 900;
+  let names = function 0 -> "U" | 1 -> "A" | _ -> "B" in
+  let s =
+    Cards_util.Table.render (O.Export.profile_table ~names prof attr)
+  in
+  let row = row_cells s in
+  let cells = Alcotest.(option (list string)) in
+  (* structure, guard, demand stall, queueing, pf stall, retry, trap,
+     alloc, total, share, pf hidden *)
+  check cells "unmanaged"
+    (Some [ "U"; "0"; "0"; "0"; "0"; "0"; "0"; "8"; "8"; "0.4%"; "0" ])
+    (row "U");
+  check cells "A"
+    (Some [ "A"; "400"; "120"; "35"; "0"; "0"; "0"; "7"; "562"; "28.1%"; "900" ])
+    (row "A");
+  check cells "B"
+    (Some [ "B"; "50"; "0"; "9"; "11"; "13"; "16"; "3"; "102"; "5.1%"; "0" ])
+    (row "B");
+  check cells "compute" (Some [ "(compute)"; "1328"; "66.4%" ]) (row "(compute)");
+  check cells "TOTAL" (Some [ "TOTAL"; "2000"; "100.0%" ]) (row "TOTAL");
+  let rows = [ "U"; "A"; "B"; "(compute)"; "TOTAL" ] in
+  let order =
+    String.split_on_char '\n' s
+    |> List.filter_map (fun l ->
+           match String.index_opt l ' ' with
+           | Some i -> Some (String.sub l 0 i)
+           | None -> None)
+    |> List.filter (fun c -> List.mem c rows)
+  in
+  check Alcotest.(list string) "rows in handle order" rows order
 
 (* ---------- corrected prefetch & batch event fields ---------- *)
 
@@ -421,7 +480,7 @@ let test_exporters_on_zero_event_run () =
   check Alcotest.int "empty ledger total" 0 (O.Attribution.total attr);
   ignore (Cards_util.Table.render (O.Export.attribution_table ~names attr));
   ignore (Cards_util.Table.render (O.Export.attribution_sites_table ~names attr));
-  ignore (Cards_util.Table.render (O.Export.profile_table ~names ~total:0 prof))
+  ignore (Cards_util.Table.render (O.Export.profile_table ~names prof attr))
 
 (* ---------- the bench regression gate ---------- *)
 
@@ -1019,6 +1078,8 @@ let suite =
       test_prefetch_and_batch_events_roundtrip;
     Alcotest.test_case "profile table renders" `Quick
       test_profile_table_renders;
+    Alcotest.test_case "profile table groups the ledger" `Quick
+      test_profile_table_groups_ledger;
     Alcotest.test_case "metrics sampled" `Quick test_metrics_sampled;
     Alcotest.test_case "metrics jsonl parses" `Quick test_metrics_jsonl_parses;
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
