@@ -40,7 +40,7 @@ let with_errors f =
   | R.Runtime.Runtime_error msg ->
     Printf.eprintf "runtime error: %s\n" msg;
     exit 2
-  | Failure msg ->
+  | Failure msg | Sys_error msg ->
     Printf.eprintf "error: %s\n" msg;
     exit 1
 
@@ -666,55 +666,18 @@ let run_cmd =
                   printing predictions only");
             (* Each validation re-run is an independent, sinkless
                re-execution, so under --domains N the scenarios fan out
-               over a work-stealing pool of N domains.  Results land in
-               a slot per scenario — the table order (and, scenarios
-               being deterministic, every measured number) is identical
-               to the sequential path. *)
+               over a pool of N domains.  Results come back in scenario
+               order — the table order (and, scenarios being
+               deterministic, every measured number) is identical to
+               the sequential path. *)
             let measured_for ranked =
               match whatif_rerun with
               | Some f when whatif_validate ->
-                let scen =
-                  Array.of_list
-                    (List.map
-                       (fun (p : O.Whatif.prediction) ->
-                         p.p_scenario.O.Whatif.sc_exec)
-                       ranked)
-                in
-                let out = Array.make (Array.length scen) None in
-                let pool = min domains (max 1 (Array.length scen)) in
-                if pool <= 1 then
-                  Array.iteri (fun i s -> out.(i) <- f s) scen
-                else begin
-                  let next = Atomic.make 0 in
-                  let worker () =
-                    let rec loop () =
-                      let i = Atomic.fetch_and_add next 1 in
-                      if i < Array.length scen then begin
-                        out.(i) <- f scen.(i);
-                        loop ()
-                      end
-                    in
-                    loop ()
-                  in
-                  let helpers =
-                    Array.init (pool - 1) (fun _ -> Domain.spawn worker)
-                  in
-                  let first_err =
-                    match worker () with
-                    | () -> None
-                    | exception e -> Some e
-                  in
-                  let err =
-                    Array.fold_left
-                      (fun err d ->
-                        match Domain.join d with
-                        | () -> err
-                        | exception e -> if err = None then Some e else err)
-                      first_err helpers
-                  in
-                  Option.iter raise err
-                end;
-                Array.to_list out
+                Array.to_list
+                  (Cards_par.Pool.map ~domains
+                     (fun (p : O.Whatif.prediction) ->
+                       f p.p_scenario.O.Whatif.sc_exec)
+                     (Array.of_list ranked))
               | _ -> List.map (fun _ -> None) ranked
             in
             let rows = List.combine ranked (measured_for ranked) in

@@ -125,6 +125,4 @@ let compute cfg loops =
 
 let basic_ivs t li = t.ivs.(li)
 
-let is_iv t li r = List.exists (fun iv -> iv.ivreg = r) t.ivs.(li)
-
 let strided_accesses t li = t.strided.(li)

@@ -28,8 +28,6 @@ val compute : Cfg.t -> Loops.t -> t
 val basic_ivs : t -> int -> iv list
 (** Basic induction variables of loop [li]. *)
 
-val is_iv : t -> int -> Cards_ir.Instr.reg -> bool
-
 val strided_accesses : t -> int -> strided_access list
 (** Strided memory accesses of loop [li]. *)
 

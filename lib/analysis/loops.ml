@@ -108,8 +108,6 @@ let loops t = t.loops
 
 let loop_of_block t b = if t.innermost.(b) = -1 then None else Some t.innermost.(b)
 
-let in_loop t li b = Bitset.mem t.loops.(li).body b
-
 let preheader cfg loop =
   let outside_preds =
     List.filter (fun p -> not (Bitset.mem loop.body p)) (Cfg.preds cfg loop.header)

@@ -22,9 +22,6 @@ val loops : t -> loop array
 val loop_of_block : t -> int -> int option
 (** Index (into {!loops}) of the innermost loop containing the block. *)
 
-val in_loop : t -> int -> int -> bool
-(** [in_loop t li b]: is block [b] inside loop [li]? *)
-
 val preheader : Cfg.t -> loop -> int option
 (** The unique out-of-loop predecessor of the header, if there is
     exactly one and it has the header as its only successor. *)

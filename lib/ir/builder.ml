@@ -181,19 +181,6 @@ let build_for t ~init ~limit ~step body =
   br t header;
   set_block t exitb
 
-let build_while t ~cond body =
-  let header = new_block t in
-  let bodyb = new_block t in
-  let exitb = new_block t in
-  br t header;
-  set_block t header;
-  let c = cond t in
-  cbr t c bodyb exitb;
-  set_block t bodyb;
-  body t;
-  br t header;
-  set_block t exitb
-
 let build_if t c then_ else_ =
   let bt = new_block t in
   let bf = new_block t in

@@ -49,5 +49,3 @@ let float_regs t =
   Array.map (fun ty -> Types.equal ty Types.F64) t.reg_tys
 
 let map_blocks t f = { t with blocks = Array.map f t.blocks }
-
-let with_reg_tys t reg_tys = { t with reg_tys }

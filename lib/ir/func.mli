@@ -45,5 +45,3 @@ val float_regs : t -> bool array
     instead of per access. *)
 
 val map_blocks : t -> (block -> block) -> t
-
-val with_reg_tys : t -> Types.t array -> t

@@ -3,15 +3,3 @@ let compile source =
   let m = Lower.lower ast in
   Verify.check_exn m;
   m
-
-let compile_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let source = really_input_string ic n in
-  close_in ic;
-  compile source
-
-let describe_error = function
-  | Ast.Syntax_error (pos, msg) ->
-    Some (Printf.sprintf "line %d, col %d: %s" pos.line pos.col msg)
-  | _ -> None

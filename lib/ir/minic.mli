@@ -4,10 +4,3 @@ val compile : string -> Irmod.t
 (** [compile source] returns a verified IR module.
     @raise Ast.Syntax_error on malformed/ill-typed source.
     @raise Failure if lowering produced ill-formed IR (a frontend bug). *)
-
-val compile_file : string -> Irmod.t
-(** Read a [.mc] file and {!compile} it. *)
-
-val describe_error : exn -> string option
-(** Render a {!Ast.Syntax_error} as ["line L, col C: message"];
-    [None] for other exceptions. *)

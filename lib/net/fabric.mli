@@ -150,9 +150,7 @@ type port_event = {
     completion before emitting, so an observer never sees a
     provisional timestamp — and exactly once per request.  Because the
     fabric rejects a backwards [now] per direction, the emitted stream
-    is nondecreasing in [pe_issue] per direction: per-tenant streams
-    can be merged in virtual-time order by a conservative barrier (the
-    parallel serving engine, {!Cards_par.Coordinator}). *)
+    is nondecreasing in [pe_issue] per direction. *)
 
 val set_port : t -> (port_event -> unit) option -> unit
 (** Install (or clear) the port observer.  Pure observation: the

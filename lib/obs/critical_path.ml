@@ -16,9 +16,6 @@ type report = {
   r_end : int;
 }
 
-let phase_total p =
-  p.cp_queued + p.cp_proto + p.cp_wire + p.cp_retry + p.cp_pf_wait + p.cp_trap
-
 let analyze c =
   if Span.length c = 0 then None
   else begin

@@ -31,8 +31,6 @@ type report = {
   r_end : int;  (** last completion cycle seen across all spans *)
 }
 
-val phase_total : phase_split -> int
-
 val analyze : Span.collector -> report option
 (** [None] iff no spans were recorded.  A report with an all-zero
     chain ([r_chain_stall = 0]) means every recorded span was free —

@@ -450,27 +450,6 @@ let critical_path_table ?(title = "Critical path (longest causal chain)")
       ""; ""; (if by_ds = "" then "-" else by_ds) ];
   t
 
-let critical_path_json (r : Critical_path.report) =
-  let p = r.Critical_path.r_phases in
-  Json.Obj
-    [ ("chain", Json.List (List.map span_json r.r_chain));
-      ("chain_stall", Json.Int r.r_chain_stall);
-      ("phases",
-       Json.Obj
-         [ ("queued", Json.Int p.cp_queued);
-           ("proto", Json.Int p.cp_proto);
-           ("wire", Json.Int p.cp_wire);
-           ("retry", Json.Int p.cp_retry);
-           ("pf_wait", Json.Int p.cp_pf_wait);
-           ("trap", Json.Int p.cp_trap) ]);
-      ("by_ds",
-       Json.Obj
-         (List.map
-            (fun (ds, v) -> (string_of_int ds, Json.Int v))
-            r.r_by_ds));
-      ("span_count", Json.Int r.r_span_count);
-      ("end", Json.Int r.r_end) ]
-
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
@@ -782,29 +761,3 @@ let whatif_table ?(title = "What-if: virtual speedups (ranked)")
          Table.fmt_speedup 1.0; cyc p.Whatif.p_baseline; "-" ]
    | [] -> ());
   t
-
-let whatif_json (rows : (Whatif.prediction * int option) list) =
-  let scenario_json ((p : Whatif.prediction), measured) =
-    Json.Obj
-      ([ ("id", Json.Str p.p_scenario.Whatif.sc_id);
-         ("label", Json.Str p.p_scenario.Whatif.sc_label);
-         ("predicted_cycles", Json.Int p.p_cycles);
-         ("saved_cycles", Json.Int p.p_saved);
-         ("speedup", Json.Float p.p_speedup);
-         ("chain_stall", Json.Int p.p_chain_stall) ]
-       @ match measured with
-         | None -> []
-         | Some m ->
-           [ ("measured_cycles", Json.Int m);
-             ("rel_error",
-              Json.Float
-                (if m = 0 then 0.0
-                 else
-                   abs_float (float_of_int (p.p_cycles - m))
-                   /. float_of_int m)) ])
-  in
-  Json.Obj
-    [ ("baseline_cycles",
-       Json.Int
-         (match rows with (p, _) :: _ -> p.Whatif.p_baseline | [] -> 0));
-      ("scenarios", Json.List (List.map scenario_json rows)) ]

@@ -63,8 +63,6 @@ val critical_path_table :
     stall and dominant phase — closed by a CHAIN row (total stall and
     phase split) and an ANALYZED row (span count, stall by structure). *)
 
-val critical_path_json : Critical_path.report -> Cards_util.Json.t
-
 val write_file : string -> string -> unit
 
 val profile_table :
@@ -160,8 +158,3 @@ val whatif_table :
     plus the measured cycles and relative error when the scenario was
     validated by re-execution ([None] renders "-"), closed by a
     BASELINE row. *)
-
-val whatif_json : (Whatif.prediction * int option) list -> Cards_util.Json.t
-(** Machine-readable form of {!whatif_table}: baseline cycles plus one
-    object per scenario (predicted/saved/speedup/chain-stall, and
-    measured + relative error when validated). *)

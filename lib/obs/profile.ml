@@ -1,7 +1,5 @@
 module Stats = Cards_util.Stats
 
-let hist_buckets = Stats.log2_buckets
-
 type buckets = {
   mutable p_hidden : int;
   lat : Stats.t;

@@ -53,6 +53,5 @@ val merged_latency : t -> Cards_util.Stats.t
 
 val merged_hist : t -> int array
 (** Octave (log₂) view of {!merged_latency}: bucket [i] counts
-    latencies in [2^i, 2^(i+1)).  Length {!hist_buckets}. *)
-
-val hist_buckets : int
+    latencies in [2^i, 2^(i+1)).  Length
+    {!Cards_util.Stats.log2_buckets}. *)

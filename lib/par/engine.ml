@@ -1,58 +1,45 @@
 module S = Cards_serve.Serve
 module T = Cards_serve.Tenant
 module A = Cards_serve.Admission
-module F = Cards_net.Fabric
 module Rng = Cards_util.Rng
 
 (* The parallel serving engine: tenants execute on a pool of OCaml 5
    domains under their own local virtual clocks, while the calling
    domain replays the exact sequential DRR schedule ([Serve.drive])
-   with "execute now" swapped for "commit the worker's next completion
+   with "execute now" swapped for "commit the tenant's next completion
    record".
 
-   Why the merged schedule is bit-identical to sequential: a tenant's
+   Why the schedule is bit-identical to sequential: a tenant's
    execution results (return values, measured costs, outputs, fabric
    effects) are independent of the serving clock — the PR 9 isolation
    invariant, proved by the tenant-isolation differential oracle — so
    workers may run arbitrarily far ahead.  Every scheduling decision
    in [Serve.drive] depends only on the arrival streams, the committed
    prefix, and the costs the commits return; the blocking pop on a
-   tenant's record stream IS the conservative lookahead barrier — the
+   tenant's channel IS the conservative lookahead barrier — the
    coordinator cannot advance onto a dispatch whose record does not
-   exist yet, and records commit in per-tenant FIFO order.  Real
-   interleaving can therefore change only wall-clock time, never the
-   virtual-time schedule. *)
-
-(* One committed dispatch, as merged by the sequenced coordinator. *)
-type commit_ev = { c_tenant : int; c_ix : int; c_cost : int }
-
-type trace = {
-  per_tenant : F.port_event list array;
-      (** each tenant's wire-event stream in its local virtual time *)
-  merged : (int * commit_ev) list;
-      (** the commit schedule merged in serving-clock order by
-          {!Coordinator} (nondecreasing times, asserted) *)
-}
+   exist yet — and [Tenant.commit] fails a record that arrives out of
+   execution order.  Real interleaving can therefore change only
+   wall-clock time, never the virtual-time schedule. *)
 
 let assignment ~n ~domains =
   let d = max 1 (min domains n) in
   Array.init n (fun i -> i mod d)
 
-(* Per-domain perturbation stream: an artificial, seeded spin delay
-   before every build/exec step, so the stress suite can randomize the
-   real interleaving and assert the virtual-time results don't move. *)
+(* An artificial, seeded spin before every build/exec step, so the
+   stress suite can randomize the real interleaving and assert the
+   virtual-time results don't move. *)
 let perturb_delay rng perturb =
   if perturb > 0 then
     for _ = 1 to Rng.int rng perturb do
       Domain.cpu_relax ()
     done
 
-let run_internal ~perturb ~window ~trace_fabric ~domains (cfg : S.config)
+let run_internal ~perturb ~trace_fabric ~domains (cfg : S.config)
     (specs : T.spec array) =
   let n = Array.length specs in
   if n = 0 then invalid_arg "Engine.run: no tenants";
   if domains < 1 then invalid_arg "Engine.run: domains must be >= 1";
-  if window < 1 then invalid_arg "Engine.run: window must be >= 1";
   let assign = assignment ~n ~domains in
   let d = 1 + Array.fold_left max 0 assign in
   (* Admission: each tenant's pin share is budget/n, exactly as in the
@@ -65,7 +52,8 @@ let run_internal ~perturb ~window ~trace_fabric ~domains (cfg : S.config)
   let share = cfg.S.pin_budget / n in
   (* The MiniC compiler keeps process-global pass counters, so every
      tenant is compiled here, sequentially, before any domain spawns;
-     workers get pre-compiled preps and do only tenant-private work. *)
+     the pool gets pre-compiled preps and does only tenant-private
+     work. *)
   let preps =
     Array.map
       (fun spec ->
@@ -73,135 +61,50 @@ let run_internal ~perturb ~window ~trace_fabric ~domains (cfg : S.config)
           ~pin_share:share spec)
       specs
   in
-  let vclock = Vclock.create n in
-  let ready : (int * T.t) Mailbox.t =
-    Mailbox.create ~streams:n ~capacity:1
+  let rngs =
+    Array.init n (fun i ->
+        Rng.create ((perturb * 0x1000193) lxor (i * 0x9e3779b9) lxor 0x5bd1))
   in
-  let execs : T.exec Mailbox.t =
-    Mailbox.create ~streams:n ~capacity:window
+  let tenants =
+    Pool.map ~domains:d
+      (fun i ->
+        perturb_delay rngs.(i) perturb;
+        T.build preps.(i))
+      (Array.init n Fun.id)
   in
-  let poison_all e =
-    Mailbox.poison ready e;
-    Mailbox.poison execs e
-  in
+  let adm = A.create ~budget_bytes:cfg.S.pin_budget in
+  Array.iter
+    (fun t ->
+      if not (A.admit adm ~bytes:(T.pinned_granted t)) then
+        failwith "Engine.run: planner exceeded its admission share")
+    tenants;
+  let chans = Array.init n (fun _ -> Chan.create ()) in
+  let poison_all e = Array.iter (fun c -> Chan.poison c e) chans in
+  (* A worker runs its tenants ahead of the serving clock, one request
+     per tenant per round.  Pushes never block, so the coordinator's
+     pop is the only wait in the engine. *)
   let worker w () =
-    try
-      let rng =
-        Rng.create ((perturb * 0x1000193) lxor (w * 0x9e3779b9) lxor 0x5bd1)
-      in
-      let owned = ref [] in
-      for i = n - 1 downto 0 do
-        if assign.(i) = w then owned := i :: !owned
-      done;
-      (* Build phase: each tenant comes up on its own domain, then is
-         handed to the coordinator through the ready exchange (which
-         also publishes the memory writes). *)
-      let slots =
-        Array.of_list
-          (List.map
-             (fun i ->
-               perturb_delay rng perturb;
-               let t = T.build preps.(i) in
-               Vclock.publish vclock i (T.local_clock t);
-               if T.exec_remaining t = 0 then Vclock.retire vclock i;
-               Mailbox.push ready i (i, t);
-               (i, t))
-             !owned)
-      in
-      let pending = Array.make (Array.length slots) None in
-      let finished () =
-        let f = ref true in
-        Array.iteri
-          (fun k (_, t) ->
-            if pending.(k) <> None || T.exec_remaining t > 0 then f := false)
-          slots;
-        !f
-      in
-      (* Exec phase: run ahead of the serving clock, round-robin over
-         owned tenants.  try_push keeps a multi-tenant worker from
-         blocking on one full stream while another could progress; it
-         sleeps (wait_room) only when every unflushed stream is full —
-         and the coordinator being blocked on some tenant means that
-         tenant's stream is empty, so its owner always has room:
-         someone always makes progress. *)
-      while not (finished ()) do
-        let progress = ref false in
-        let stuck = ref [] in
-        Array.iteri
-          (fun k (i, t) ->
-            (match pending.(k) with
-             | Some e ->
-               if Mailbox.try_push execs i e then begin
-                 pending.(k) <- None;
-                 progress := true
-               end
-             | None -> ());
-            if pending.(k) = None && T.exec_remaining t > 0 then begin
-              perturb_delay rng perturb;
-              let e = T.exec_next t in
-              (* Publish the horizon before the record can be popped:
-                 the coordinator's barrier check reads it. *)
-              Vclock.publish vclock i (T.local_clock t);
-              if T.exec_remaining t = 0 then Vclock.retire vclock i;
-              if Mailbox.try_push execs i e then progress := true
-              else pending.(k) <- Some e
-            end;
-            if pending.(k) <> None then stuck := i :: !stuck)
-          slots;
-        if (not !progress) && !stuck <> [] then Mailbox.wait_room execs !stuck
-      done
-    with
-    | Mailbox.Poisoned _ -> ()
+    let step i =
+      T.exec_remaining tenants.(i) > 0
+      && begin
+        perturb_delay rngs.(i) perturb;
+        Chan.push chans.(i) (T.exec_next tenants.(i));
+        true
+      end
+    in
+    let rec loop live = if live <> [] then loop (List.filter step live) in
+    try loop (List.filter (fun i -> assign.(i) = w) (List.init n Fun.id)) with
+    | Chan.Poisoned _ -> ()
     | e -> poison_all e
   in
   let workers = Array.init d (fun w -> Domain.spawn (worker w)) in
   let finish () = Array.iter Domain.join workers in
-  match
-    let tenants =
-      Array.init n (fun i ->
-          let j, t = Mailbox.pop ready i in
-          assert (j = i);
-          t)
-    in
-    let adm = A.create ~budget_bytes:cfg.S.pin_budget in
-    Array.iter
-      (fun t ->
-        if not (A.admit adm ~bytes:(T.pinned_granted t)) then
-          failwith "Engine.run: planner exceeded its admission share")
-      tenants;
-    let merge : commit_ev Coordinator.t = Coordinator.create ~streams:n in
-    let serve i ~now =
-      let e = Mailbox.pop execs i in
-      let cost = T.commit tenants.(i) ~now e in
-      (* Lookahead-barrier invariant: the producing domain's published
-         clock has passed every record the coordinator commits. *)
-      let floor = T.setup_cycles tenants.(i) + T.service_cycles tenants.(i) in
-      if Vclock.horizon vclock i < floor then
-        raise
-          (Coordinator.Barrier_violation
-             (Printf.sprintf
-                "tenant %d committed past its producer's horizon (%d < %d)" i
-                (Vclock.horizon vclock i) floor));
-      Coordinator.submit merge ~stream:i ~time:now
-        { c_tenant = i; c_ix = e.T.e_ix; c_cost = cost };
-      cost
-    in
-    let result =
-      S.drive cfg ~tenants ~pin_admitted:(A.admitted_bytes adm) ~serve
-    in
-    for i = 0 to n - 1 do
-      Coordinator.close merge ~stream:i
-    done;
-    (* Draining replays the commit schedule through the conservative
-       merge, asserting it is monotone in serving time. *)
-    let merged = List.map (fun (t, _, ev) -> (t, ev)) (Coordinator.drain merge) in
-    let per_tenant = Array.map T.fabric_events tenants in
-    (result, { per_tenant; merged })
-  with
-  | out ->
+  let serve i ~now = T.commit tenants.(i) ~now (Chan.pop chans.(i)) in
+  match S.drive cfg ~tenants ~pin_admitted:(A.admitted_bytes adm) ~serve with
+  | result ->
     finish ();
-    out
-  | exception Mailbox.Poisoned e ->
+    (result, Array.map T.fabric_events tenants)
+  | exception Chan.Poisoned e ->
     finish ();
     raise e
   | exception e ->
@@ -209,11 +112,11 @@ let run_internal ~perturb ~window ~trace_fabric ~domains (cfg : S.config)
     finish ();
     raise e
 
-let run ?(perturb = 0) ?(window = 64) ~domains cfg specs =
-  fst (run_internal ~perturb ~window ~trace_fabric:false ~domains cfg specs)
+let run ?(perturb = 0) ~domains cfg specs =
+  fst (run_internal ~perturb ~trace_fabric:false ~domains cfg specs)
 
-let run_traced ?(perturb = 0) ?(window = 64) ~domains cfg specs =
-  run_internal ~perturb ~window ~trace_fabric:true ~domains cfg specs
+let run_traced ?(perturb = 0) ~domains cfg specs =
+  run_internal ~perturb ~trace_fabric:true ~domains cfg specs
 
 (* Sequential reference with fabric tracing: identical to [Serve.run]
    (same admission arithmetic, same drive loop, same serve_next) plus

@@ -210,9 +210,7 @@ val set_fault_rate : t -> float -> unit
     @raise Invalid_argument outside [0, 1]. *)
 
 val pinned_bytes : t -> int
-val remotable_resident_bytes : t -> int
 val pinned_preference : t -> bool array
-val n_ds : t -> int
 
 (** {2 Observability} *)
 

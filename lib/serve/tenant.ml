@@ -233,5 +233,4 @@ let output t = List.rev t.out_rev
 let fabric_stats t = R.fabric_stats t.rt
 let degrade_level t = R.degrade_level t.rt
 let runtime t = t.rt
-let local_clock t = R.now t.rt
 let fabric_events t = List.rev !(t.events_rev)

@@ -123,11 +123,6 @@ val fabric_stats : t -> Cards_net.Fabric.stats
 val degrade_level : t -> int
 val runtime : t -> Cards_runtime.Runtime.t
 
-val local_clock : t -> int
-(** The tenant runtime's own virtual clock ([Runtime.now]) — the
-    per-domain clock the parallel engine publishes as its lookahead
-    horizon. *)
-
 val fabric_events : t -> Cards_net.Fabric.port_event list
 (** The tenant's wire-event stream in local virtual time, in issue
     order — empty unless built with [trace_fabric]. *)

@@ -30,8 +30,6 @@ let of_func (f : Func.t) =
     f.blocks;
   { name = f.name; ret = f.ret; params = f.params; tys; binstrs; bterms }
 
-let func_name t = t.name
-
 let fresh_reg t ty = Vec.push t.tys ty
 
 let reg_ty t r = Vec.get t.tys r

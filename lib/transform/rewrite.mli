@@ -6,8 +6,6 @@ type t
 
 val of_func : Cards_ir.Func.t -> t
 
-val func_name : t -> string
-
 val fresh_reg : t -> Cards_ir.Types.t -> Cards_ir.Instr.reg
 
 val reg_ty : t -> Cards_ir.Instr.reg -> Cards_ir.Types.t

@@ -68,7 +68,6 @@ let count t = t.n
 let sum t = t.total
 let mean t = if t.n = 0 then 0.0 else t.mean_acc
 let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int t.n
-let stddev t = sqrt (variance t)
 let min t = t.lo
 let max t = t.hi
 

@@ -31,8 +31,6 @@ val mean : t -> float
 val variance : t -> float
 (** Population variance (Welford); 0 when fewer than 2 observations. *)
 
-val stddev : t -> float
-
 val min : t -> float
 (** Smallest observation; [infinity] when empty.  Exact. *)
 

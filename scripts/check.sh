@@ -9,8 +9,8 @@
 # many-tenant serving experiments are diffed against the committed
 # BENCH_fabric.json / BENCH_attr.json / BENCH_faults.json /
 # BENCH_spans.json / BENCH_whatif.json / BENCH_host.json /
-# BENCH_layout.json / BENCH_serve.json baselines (2% relative
-# tolerance) and the
+# BENCH_layout.json / BENCH_serve.json / BENCH_par.json baselines
+# (2% relative tolerance) and the
 # snapshots refreshed on a clean pass.  The bench gates run from a
 # release build: the host gate asserts a wall-clock speedup of the
 # pre-decoded engine over the reference interpreter, which only means
@@ -83,7 +83,7 @@ echo "== parallel-engine suite (domain matrix + perturbation stress, incl. slow)
 # The domain-parallel engine's differential battery — bit-identicality
 # against the sequential scheduler across domain counts, the
 # scheduler-perturbation stress matrix (registered Slow), and the
-# barrier/mailbox/vclock property tests — forced on.
+# channel, pool and poison tests — forced on.
 dune exec --no-build test/test_main.exe -- test par -e > /dev/null
 
 echo "== smoke: cards run with --trace/--metrics/--profile"
@@ -101,6 +101,42 @@ grep -q traceEvents "$trace" || {
 dune exec --no-build bin/cards_cli.exe -- run examples/minic/fig9_list.mc \
   --policy all-remotable --local 1M --remotable 768K --no-batching \
   --prefetch adaptive --profile > /dev/null
+
+echo "== --domains parity: cards serve and --whatif-validate at 1 vs 2"
+# The CLI's two parallel paths — the serving engine and the what-if
+# validation pool — must print the same numbers at any domain count.
+# The only line allowed to differ is the warning a host with fewer
+# cores prints when --domains exceeds them.
+cards() { dune exec --no-build bin/cards_cli.exe -- "$@"; }
+for d in 1 2; do
+  cards serve --tenants 4 --requests 20 --domains "$d" \
+    > /dev/null 2> "$tmpdir/serve-$d.err"
+  grep ' cycles total' "$tmpdir/serve-$d.err" > "$tmpdir/serve-$d.total" || {
+    echo "check.sh: cards serve --domains $d printed no cycles total" >&2
+    exit 1; }
+  cards run examples/minic/listing1.mc --policy all-remotable \
+    --local 1M --remotable 256K --whatif-validate --domains "$d" \
+    > "$tmpdir/whatif-$d.out" 2> "$tmpdir/whatif-$d.err"
+  grep -v '^-- warning: --domains' "$tmpdir/whatif-$d.err" \
+    > "$tmpdir/whatif-$d.table"
+done
+cmp -s "$tmpdir/serve-1.total" "$tmpdir/serve-2.total" || {
+  echo "check.sh: cards serve cycles total differs at --domains 2" >&2
+  exit 1; }
+cmp -s "$tmpdir/whatif-1.out" "$tmpdir/whatif-2.out" \
+  && cmp -s "$tmpdir/whatif-1.table" "$tmpdir/whatif-2.table" || {
+  echo "check.sh: --whatif-validate output differs at --domains 2" >&2
+  exit 1; }
+
+echo "== unwritable output path: named error, exit 1"
+status=0
+cards run examples/minic/listing1.mc --trace "$tmpdir/missing/x.json" \
+  > /dev/null 2> "$tmpdir/unwritable.err" || status=$?
+if [ "$status" != 1 ] || ! grep -q '^error: ' "$tmpdir/unwritable.err"; then
+  echo "check.sh: unwritable --trace path exited $status" \
+    "(want 1 with an error: line)" >&2
+  exit 1
+fi
 
 if [ "$quick" = yes ]; then
   echo "== check.sh: quick pass green (bench gates skipped)"

@@ -4,28 +4,23 @@
       result — every per-tenant field, the serving-clock decomposition,
       the DRR counters, the interference matrix, the aggregated fabric
       stats — must be bit-identical to [Serve.run] for every domain
-      count, window size, and artificial perturbation.  The full
-      perturbation matrix is registered Slow (check.sh forces it on);
-      one adversarial cell stays in the quick tier.  The domain counts
-      under test come from CARDS_TEST_DOMAINS when set (check.sh runs
-      the whole suite under 1 and 4).
+      count and artificial perturbation.  The full perturbation matrix
+      is registered Slow (check.sh forces it on); one adversarial cell
+      stays in the quick tier.  The domain counts under test come from
+      CARDS_TEST_DOMAINS when set (check.sh runs the whole suite under
+      1 and 4).
 
    2. Wire-level determinism: with fabric-port tracing on, each
       tenant's wire-event stream (issue/start/complete/qp/bytes per
       transfer, in local virtual time) is bit-identical between the
-      parallel and sequential runs, and the engine's merged commit
-      schedule is nondecreasing in serving time and complete.
+      parallel and sequential runs.
 
-   3. qcheck properties for the barrier machinery: the conservative
-      coordinator merge equals the deterministic (time, stream) sort
-      regardless of submission interleaving and never pops backwards
-      ("no domain observes an event older than its clock"); virtual
-      clock horizons are monotone and GVT is their active minimum;
-      the mailbox preserves FIFO order and capacity.
-
-   4. Cross-domain smoke: a real two-domain producer/consumer run
-      through the mailbox, and poison propagation out of a dead
-      worker. *)
+   3. The engine's pieces across real domains: each tenant's mailbox
+      (a [Chan]) delivers in FIFO order between two domains, and
+      poison wakes a blocked pop; [Pool.map] keeps input order at any
+      domain count and re-raises the lowest failing index's exception
+      only after every domain has joined; a dead worker poisons the
+      whole run. *)
 
 module R = Cards_runtime
 module F = Cards_net.Fabric
@@ -33,12 +28,10 @@ module S = Cards_serve.Serve
 module Tn = Cards_serve.Tenant
 module Lg = Cards_serve.Loadgen
 module E = Cards_par.Engine
-module Mb = Cards_par.Mailbox
-module Vc = Cards_par.Vclock
-module Co = Cards_par.Coordinator
+module Ch = Cards_par.Chan
+module Pool = Cards_par.Pool
 
 let check = Alcotest.check
-let qcheck = QCheck_alcotest.to_alcotest
 
 (* Domain counts under differential test: CARDS_TEST_DOMAINS pins one
    count (check.sh runs the release suite under 1 and 4); otherwise a
@@ -137,18 +130,15 @@ let test_engine_degenerate_shapes () =
   (* More domains than tenants: the pool caps at the tenant count. *)
   let par = E.run ~domains:16 S.default_config specs in
   compare_results "domains=16 (capped)" par seq;
-  (* A single-record lookahead window forces maximal coordinator/worker
-     lock-stepping — the slowest, most barrier-bound schedule. *)
-  let par = E.run ~domains:2 ~window:1 S.default_config specs in
-  compare_results "window=1" par seq;
   (* One tenant: one worker, pure pipeline. *)
   let solo = [| small_kv ~name:"solo" ~seed:5 ~fault_rate:0.0 |] in
   compare_results "single tenant"
     (E.run ~domains:4 S.default_config solo)
     (S.run S.default_config solo)
 
-(* Perturbation stress: seeded artificial per-domain delays randomize
-   the real interleaving; virtual-time results must not move. *)
+(* Perturbation stress: seeded artificial delays before every build and
+   execution step randomize the real interleaving; virtual-time results
+   must not move. *)
 let perturb_cell ~domains ~perturb seq specs =
   let par = E.run ~domains ~perturb S.default_config specs in
   compare_results
@@ -171,250 +161,171 @@ let test_perturbation_matrix () =
         [ 20; 200; 2000 ])
     domain_counts
 
-(* ---------- 2. wire-event streams and the merged schedule ---------- *)
+(* ---------- 2. wire-event streams ---------- *)
 
 let test_traced_streams () =
   let specs = small_mix ~rate:0.2 () in
   let seq, seq_events = E.seq_traced S.default_config specs in
   let d = List.fold_left max 1 domain_counts in
-  let par, trace = E.run_traced ~domains:d S.default_config specs in
+  let par, par_events = E.run_traced ~domains:d S.default_config specs in
   compare_results "traced" par seq;
   Array.iteri
     (fun i ev ->
       check Alcotest.int
         (Printf.sprintf "tenant %d wire-event count" i)
         (List.length ev)
-        (List.length trace.E.per_tenant.(i));
+        (List.length par_events.(i));
       check Alcotest.bool
         (Printf.sprintf "tenant %d wire-event stream identical" i)
         true
-        (trace.E.per_tenant.(i) = ev))
-    seq_events;
-  (* The merged commit schedule covers every served request exactly
-     once, nondecreasing in serving time, tie-broken by tenant. *)
-  let served =
-    Array.fold_left (fun acc tr -> acc + tr.S.tr_served) 0 seq.S.tenants
-  in
-  check Alcotest.int "merged schedule is complete" served
-    (List.length trace.E.merged);
-  let rec monotone = function
-    | (t1, _) :: ((t2, _) :: _ as rest) ->
-      t1 <= t2 && monotone rest
-    | _ -> true
-  in
-  check Alcotest.bool "merged schedule is monotone" true
-    (monotone trace.E.merged);
-  (* Per tenant, commit indices appear in FIFO order. *)
-  let next = Array.make (Array.length specs) 0 in
-  List.iter
-    (fun (_, ev) ->
-      check Alcotest.int "per-tenant commits in FIFO order"
-        next.(ev.E.c_tenant) ev.E.c_ix;
-      next.(ev.E.c_tenant) <- ev.E.c_ix + 1)
-    trace.E.merged
+        (par_events.(i) = ev))
+    seq_events
 
-(* ---------- 3. qcheck: barrier machinery ---------- *)
-
-(* A batch of per-stream event lists with nondecreasing times. *)
-let streams_gen =
-  QCheck.Gen.(
-    let stream =
-      list_size (int_bound 12) (int_bound 50) >|= fun deltas ->
-      let t = ref 0 in
-      List.map
-        (fun d ->
-          t := !t + d;
-          !t)
-        deltas
-    in
-    int_range 1 4 >>= fun n ->
-    list_size (return n) stream)
-
-let streams_arb =
-  QCheck.make ~print:(fun ss ->
-      String.concat "; "
-        (List.map
-           (fun s -> "[" ^ String.concat "," (List.map string_of_int s) ^ "]")
-           ss))
-    streams_gen
-
-(* The conservative merge equals the deterministic (time, stream) sort
-   no matter how submissions interleave with early pops. *)
-let prop_coordinator_merge =
-  QCheck.Test.make ~name:"coordinator merge = (time, stream) sort" ~count:300
-    streams_arb (fun streams ->
-      let n = List.length streams in
-      let co = Co.create ~streams:n in
-      let arr = Array.of_list (List.map Array.of_list streams) in
-      let pos = Array.make n 0 in
-      let popped = ref [] in
-      (* Interleave submissions round-robin with opportunistic pops so
-         the barrier is exercised mid-stream, not only at drain. *)
-      let remaining () =
-        Array.exists (fun i -> i >= 0) (Array.mapi (fun s p ->
-            if p < Array.length arr.(s) then 0 else -1) pos)
-      in
-      while remaining () do
-        for s = 0 to n - 1 do
-          if pos.(s) < Array.length arr.(s) then begin
-            Co.submit co ~stream:s ~time:arr.(s).(pos.(s)) (s, pos.(s));
-            pos.(s) <- pos.(s) + 1
-          end
-        done;
-        match Co.pop_ready co with
-        | Some ev -> popped := ev :: !popped
-        | None -> ()
-      done;
-      for s = 0 to n - 1 do
-        Co.close co ~stream:s
-      done;
-      let merged = List.rev !popped @ Co.drain co in
-      (* Expected: stable sort of all events by (time, stream). *)
-      let all =
-        List.concat
-          (List.mapi
-             (fun s ts -> List.mapi (fun i t -> (t, s, (s, i))) ts)
-             streams)
-      in
-      let expected =
-        List.stable_sort
-          (fun (t1, s1, _) (t2, s2, _) -> compare (t1, s1) (t2, s2))
-          all
-      in
-      merged = expected
-      && (* no event ever popped behind the merge clock *)
-      fst
-        (List.fold_left
-           (fun (ok, last) (t, _, _) -> (ok && t >= last, t))
-           (true, min_int) merged))
-
-let prop_coordinator_stream_monotone =
-  QCheck.Test.make ~name:"coordinator rejects a backwards stream" ~count:100
-    QCheck.(pair small_nat small_nat)
-    (fun (a, b) ->
-      QCheck.assume (b > 0);
-      let co = Co.create ~streams:1 in
-      Co.submit co ~stream:0 ~time:a ();
-      match Co.submit co ~stream:0 ~time:(a - b) () with
-      | () -> false
-      | exception Co.Barrier_violation _ -> true)
-
-let prop_vclock =
-  QCheck.Test.make ~name:"vclock horizons monotone, gvt = active min"
-    ~count:300
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 40)
-              (pair (int_bound 3) (int_bound 1000)))
-    (fun updates ->
-      let vc = Vc.create 4 in
-      let shadow = Array.make 4 0 in
-      List.iter
-        (fun (i, t) ->
-          if t >= shadow.(i) then begin
-            Vc.publish vc i t;
-            shadow.(i) <- t
-          end
-          else
-            (* A backwards publish must raise, not regress. *)
-            (match Vc.publish vc i t with
-             | () -> failwith "backwards publish accepted"
-             | exception Invalid_argument _ -> ()))
-        updates;
-      let ok = ref (Vc.gvt vc = Array.fold_left min max_int shadow) in
-      (* Retiring the slowest stream raises the bound to the next min. *)
-      let slowest = ref 0 in
-      Array.iteri (fun i h -> if h < shadow.(!slowest) then slowest := i) shadow;
-      Vc.retire vc !slowest;
-      let expected =
-        let m = ref max_int in
-        Array.iteri (fun i h -> if i <> !slowest then m := min !m h) shadow;
-        !m
-      in
-      ok := !ok && Vc.gvt vc = expected;
-      !ok)
-
-(* ---------- 4. mailbox: FIFO, capacity, poison, cross-domain ---------- *)
-
-let test_mailbox_fifo_capacity () =
-  let mb = Mb.create ~streams:2 ~capacity:3 in
-  check Alcotest.bool "push 0" true (Mb.try_push mb 0 10);
-  check Alcotest.bool "push 1" true (Mb.try_push mb 0 11);
-  check Alcotest.bool "push 2" true (Mb.try_push mb 0 12);
-  check Alcotest.bool "stream full" false (Mb.try_push mb 0 13);
-  check Alcotest.bool "other stream has room" true (Mb.try_push mb 1 20);
-  check Alcotest.int "fifo 0" 10 (Mb.pop mb 0);
-  check Alcotest.bool "room again" true (Mb.try_push mb 0 13);
-  check Alcotest.int "fifo 1" 11 (Mb.pop mb 0);
-  check Alcotest.int "fifo 2" 12 (Mb.pop mb 0);
-  check Alcotest.int "fifo 3" 13 (Mb.pop mb 0);
-  check Alcotest.int "stream 1 intact" 20 (Mb.pop mb 1);
-  (* wait_room returns immediately when a listed stream has room, and
-     on an empty list. *)
-  Mb.wait_room mb [ 0; 1 ];
-  Mb.wait_room mb []
+(* ---------- 3. channel, pool, poison ---------- *)
 
 let test_mailbox_poison () =
-  let mb = Mb.create ~streams:1 ~capacity:1 in
-  Mb.poison mb (Failure "worker died");
-  (match Mb.pop mb 0 with
-   | _ -> Alcotest.fail "pop after poison returned"
-   | exception Mb.Poisoned (Failure m) ->
-     check Alcotest.string "poison carries the exception" "worker died" m
-   | exception _ -> Alcotest.fail "wrong poison exception");
-  match Mb.try_push mb 0 1 with
-  | _ -> Alcotest.fail "push after poison returned"
-  | exception Mb.Poisoned _ -> ()
+  let ch = Ch.create () in
+  let entered = Atomic.make false in
+  let consumer =
+    Domain.spawn (fun () ->
+        Atomic.set entered true;
+        match Ch.pop ch with
+        | _ -> Error "pop returned on an empty channel"
+        | exception Ch.Poisoned (Failure m) -> Ok m
+        | exception _ -> Error "wrong poison exception")
+  in
+  (* Let the consumer reach its blocking pop before poisoning; a pop
+     that arrives after the poison must raise all the same. *)
+  while not (Atomic.get entered) do
+    Domain.cpu_relax ()
+  done;
+  for _ = 1 to 100_000 do
+    Domain.cpu_relax ()
+  done;
+  Ch.poison ch (Failure "worker died");
+  Ch.poison ch (Failure "second poison");
+  (match Domain.join consumer with
+   | Ok m ->
+     check Alcotest.string "poison wakes the pop, first exception wins"
+       "worker died" m
+   | Error m -> Alcotest.fail m);
+  match Ch.push ch 1 with
+  | () -> Alcotest.fail "push after poison returned"
+  | exception Ch.Poisoned _ -> ()
 
 let test_mailbox_cross_domain () =
-  let mb = Mb.create ~streams:1 ~capacity:4 in
+  let ch = Ch.create () in
   let total = 500 in
   let producer =
     Domain.spawn (fun () ->
         for i = 0 to total - 1 do
-          Mb.push mb 0 i
+          Ch.push ch i
         done)
   in
   let ok = ref true in
   for i = 0 to total - 1 do
-    if Mb.pop mb 0 <> i then ok := false
+    if Ch.pop ch <> i then ok := false
   done;
   Domain.join producer;
-  check Alcotest.bool "bounded stream delivered in order" true !ok
+  check Alcotest.bool "channel delivered in order" true !ok
+
+let test_pool_map () =
+  let xs = Array.init 9 Fun.id in
+  let failure ~domains f =
+    match Pool.map ~domains f xs with
+    | _ -> Alcotest.fail "map returned past a failure"
+    | exception Failure m -> m
+  in
+  List.iter
+    (fun domains ->
+      let tag = Printf.sprintf "domains=%d: " domains in
+      check
+        Alcotest.(array int)
+        (tag ^ "results in input order")
+        (Array.map (fun i -> i * i) xs)
+        (Pool.map ~domains (fun i -> i * i) xs);
+      check
+        Alcotest.(array int)
+        (tag ^ "empty input") [||]
+        (Pool.map ~domains (fun i -> i) [||]);
+      (* Indices 2 and 5 fail, and once a second domain can reach it, 5
+         fails first: the lowest failing index still wins. *)
+      let five_failed = Atomic.make false in
+      check Alcotest.string
+        (tag ^ "lowest failing index re-raised")
+        "2"
+        (failure ~domains (fun i ->
+             if i = 5 then begin
+               Atomic.set five_failed true;
+               failwith "5"
+             end;
+             if i = 2 then begin
+               while domains > 1 && not (Atomic.get five_failed) do
+                 Domain.cpu_relax ()
+               done;
+               failwith "2"
+             end;
+             i));
+      (* The calling domain fails at once while every helper is still
+         busy: [map] must join them all before it raises. *)
+      let caller = Domain.self () in
+      let failed = Atomic.make false in
+      let running = Atomic.make 0 in
+      check Alcotest.string
+        (tag ^ "caller's failure re-raised")
+        "caller"
+        (failure ~domains (fun i ->
+             if Domain.self () = caller then begin
+               Atomic.set failed true;
+               failwith "caller"
+             end;
+             Atomic.incr running;
+             while not (Atomic.get failed) do
+               Domain.cpu_relax ()
+             done;
+             for _ = 1 to 50_000 do
+               Domain.cpu_relax ()
+             done;
+             Atomic.decr running;
+             i));
+      check Alcotest.int (tag ^ "every domain joined first") 0
+        (Atomic.get running))
+    [ 1; 2; 4; Array.length xs + 3 ]
 
 let test_engine_worker_failure () =
-  (* A tenant whose req() traps poisons the run: the engine must
-     re-raise instead of hanging. *)
+  (* A tenant whose req() traps on its worker domain poisons the run:
+     the engine must re-raise the trap instead of hanging. *)
   let bad =
     { Tn.name = "bad";
-      source = "function setup() { return 0; } \
-                function req(op, a, b) { return *(&op + 1000000); }";
+      source = "void setup() { } \
+                int req(int op, int a, int b) { return op / a; } \
+                int main() { setup(); return req(1, 1, 0); }";
       seed = 3; requests = 4; mean_gap = 10_000.0;
       sample = (fun _ -> { Lg.op = 1; a = 0; b = 0 });
       fault_rate = 0.0 }
   in
   match E.run ~domains:2 S.default_config [| bad; bad |] with
   | _ -> Alcotest.fail "engine returned from a trapping tenant"
-  | exception _ -> ()
+  | exception Cards_interp.Machine.Trap m ->
+    check Alcotest.string "the worker's trap is re-raised" "division by zero"
+      m
 
 let suite =
   [ Alcotest.test_case "parallel = sequential (clean mix)" `Quick
       test_engine_matches_sequential;
     Alcotest.test_case "parallel = sequential (faulty tenant)" `Quick
       test_engine_matches_sequential_faulty;
-    Alcotest.test_case "degenerate shapes (capped pool, window=1, solo)"
-      `Quick test_engine_degenerate_shapes;
+    Alcotest.test_case "degenerate shapes (capped pool, solo)" `Quick
+      test_engine_degenerate_shapes;
     Alcotest.test_case "perturbation stress (adversarial cell)" `Quick
       test_perturbation_quick;
     Alcotest.test_case "perturbation stress (full matrix)" `Slow
       test_perturbation_matrix;
-    Alcotest.test_case "wire-event streams + merged schedule" `Quick
-      test_traced_streams;
-    qcheck prop_coordinator_merge;
-    qcheck prop_coordinator_stream_monotone;
-    qcheck prop_vclock;
-    Alcotest.test_case "mailbox FIFO and capacity" `Quick
-      test_mailbox_fifo_capacity;
+    Alcotest.test_case "wire-event streams" `Quick test_traced_streams;
     Alcotest.test_case "mailbox poison" `Quick test_mailbox_poison;
     Alcotest.test_case "mailbox across domains" `Quick
       test_mailbox_cross_domain;
+    Alcotest.test_case "pool map order, empty, first failure" `Quick
+      test_pool_map;
     Alcotest.test_case "worker failure poisons the run" `Quick
       test_engine_worker_failure ]
