@@ -505,13 +505,18 @@ let check_unit_interval flag v =
   if Float.is_nan v || v < 0.0 || v > 1.0 then
     failwith (Printf.sprintf "--%s %g: expected a probability in [0,1]" flag v)
 
+(* Integer flags with a floor: a bad value dies here with a named
+   usage error, not deep inside a constructor as an uncaught
+   Invalid_argument, and is never clamped without a word. *)
+let check_min flag v ~min ~need =
+  if v < min then failwith (Printf.sprintf "--%s %d: need %s" flag v need)
+
 (* Domain counts are validated the same way: a bad value dies with a
    usage error, while merely-ambitious ones (more domains than the host
    has cores) warn and proceed — the result is bit-identical either
    way, only the wall-clock gain saturates. *)
 let check_domains domains =
-  if domains < 1 then
-    failwith (Printf.sprintf "--domains %d: need at least one" domains);
+  check_min "domains" domains ~min:1 ~need:"at least one";
   let cores = Domain.recommended_domain_count () in
   if domains > cores then
     O.Reporter.linef reporter
@@ -528,12 +533,12 @@ let run_cmd =
         check_unit_interval "fault-rate" fault_rate;
         check_unit_interval "span-rate" span_rate;
         check_domains domains;
+        check_min "qp" qp ~min:1 ~need:"at least one queue pair";
+        check_min "metrics-interval" metrics_interval ~min:1
+          ~need:"a positive sampling period";
         Option.iter
           (fun b ->
-            if b < 1 then
-              failwith
-                (Printf.sprintf "--prefetch-bytes %d: need a positive budget"
-                   b))
+            check_min "prefetch-bytes" b ~min:1 ~need:"a positive budget")
           prefetch_bytes;
         let whatif = whatif || whatif_validate in
         (* A sampling rate without a span consumer is almost always a
@@ -752,6 +757,8 @@ let serve_cmd =
         check_unit_interval "fault-rate" fault_rate;
         if tenants <= 0 then failwith "--tenants: need at least one";
         check_domains domains;
+        check_min "quantum" quantum ~min:1 ~need:"a positive quantum";
+        check_min "pin-budget" pin_budget ~min:0 ~need:"a non-negative budget";
         Option.iter
           (fun i ->
             if i < 0 || i >= tenants then

@@ -38,24 +38,33 @@ let trackfm_config =
   { proto_cycles = 42_800; bytes_per_cycle = link_bytes_per_cycle;
     qp_count = 1; faults = no_faults }
 
+(* The live counters.  Requests bump them in place and [stats] hands
+   out a copy; the interface makes the type private, so no caller can
+   write it.  [queue_in_cycles] is never bumped: [stats] reports it as
+   the sum of [qp_queue_cycles], so per-QP queueing sums to the total
+   by construction. *)
 type stats = {
-  fetches : int;
-  fetched_bytes : int;
-  batches : int;
-  batched_objects : int;
-  writebacks : int;
-  written_bytes : int;
-  wb_batches : int;
+  mutable fetches : int;
+  mutable fetched_bytes : int;
+  mutable batches : int;
+  mutable batched_objects : int;
+  mutable writebacks : int;
+  mutable written_bytes : int;
+  mutable wb_batches : int;
   queue_in_cycles : int;
-  queue_out_cycles : int;
+  mutable queue_out_cycles : int;
   qp_queue_cycles : int array;
-  faults_transient : int;
-  faults_late : int;
-  faults_dup : int;
-  failed_fetches : int;
-  reliable_fetches : int;
-  wb_faults : int;
+  mutable faults_transient : int;
+  mutable faults_late : int;
+  mutable faults_dup : int;
+  mutable failed_fetches : int;
+  mutable reliable_fetches : int;
+  mutable wb_faults : int;
 }
+
+(* Every [max] here compares cycle counts; the polymorphic
+   [Stdlib.max] would make each request call into the runtime. *)
+let max (a : int) b = if a >= b then a else b
 
 type scale = { s_proto : float; s_wire : float }
 
@@ -89,7 +98,7 @@ type failure = {
    observer with the FINAL times — a Late or Duplicate fault extends
    the completion before the event is emitted, so an observer never
    sees a provisional timestamp.  [pe_issue] is the caller's [now];
-   the per-direction monotonicity guards above make the emitted stream
+   the per-direction monotonicity guards below make the emitted stream
    nondecreasing in [pe_issue] per direction by construction, which is
    what lets the parallel serving engine merge per-tenant streams with
    a conservative virtual-time barrier. *)
@@ -109,26 +118,13 @@ type t = {
   rng : Rng.t;
   mutable fault_rate : float;     (* live rate; starts at cfg.faults *)
   in_busy_until : int array;      (* one inbound queue pair per slot *)
-  qp_queue_cycles : int array;
   mutable out_busy_until : int;
   mutable last_in_now : int;      (* monotonicity guards per direction *)
   mutable last_out_now : int;
   mutable port : (port_event -> unit) option;
-  mutable fetches : int;
-  mutable fetched_bytes : int;
-  mutable batches : int;
-  mutable batched_objects : int;
-  mutable writebacks : int;
-  mutable written_bytes : int;
-  mutable wb_batches : int;
-  mutable queue_in_cycles : int;
-  mutable queue_out_cycles : int;
-  mutable faults_transient : int;
-  mutable faults_late : int;
-  mutable faults_dup : int;
-  mutable failed_fetches : int;
-  mutable reliable_fetches : int;
-  mutable wb_faults : int;
+  s : stats;
+  one_size : int array;           (* one-slot scratch, so a single fetch *)
+  one_done : int array;           (* runs through the batch core *)
 }
 
 let create cfg =
@@ -140,31 +136,27 @@ let create cfg =
     rng = Rng.create cfg.faults.fault_seed;
     fault_rate = cfg.faults.fault_rate;
     in_busy_until = Array.make cfg.qp_count 0;
-    qp_queue_cycles = Array.make cfg.qp_count 0;
     out_busy_until = 0;
     last_in_now = 0; last_out_now = 0;
     port = None;
-    fetches = 0; fetched_bytes = 0; batches = 0; batched_objects = 0;
-    writebacks = 0; written_bytes = 0; wb_batches = 0;
-    queue_in_cycles = 0; queue_out_cycles = 0;
-    faults_transient = 0; faults_late = 0; faults_dup = 0;
-    failed_fetches = 0; reliable_fetches = 0; wb_faults = 0 }
+    s = { fetches = 0; fetched_bytes = 0; batches = 0; batched_objects = 0;
+          writebacks = 0; written_bytes = 0; wb_batches = 0;
+          queue_in_cycles = 0; queue_out_cycles = 0;
+          qp_queue_cycles = Array.make cfg.qp_count 0;
+          faults_transient = 0; faults_late = 0; faults_dup = 0;
+          failed_fetches = 0; reliable_fetches = 0; wb_faults = 0 };
+    one_size = [| 0 |]; one_done = [| 0 |] }
 
 let set_port t p = t.port <- p
 
-let emit t ev = match t.port with None -> () | Some f -> f ev
-
-let emit_transfer t ~now ~count ~bytes (tr : transfer) =
-  emit t
-    { pe_dir = `In; pe_issue = now; pe_start = tr.t_start;
-      pe_complete = tr.t_complete; pe_qp = tr.t_qp;
-      pe_count = count; pe_bytes = bytes; pe_ok = true }
-
-let emit_failure t ~now ~count ~bytes (f : failure) =
-  emit t
-    { pe_dir = `In; pe_issue = now; pe_start = f.f_start;
-      pe_complete = f.f_fail; pe_qp = f.f_qp;
-      pe_count = count; pe_bytes = bytes; pe_ok = false }
+(* The event is built only when an observer is installed, so an
+   unobserved request allocates nothing here. *)
+let emit t dir ~now ~start ~complete ~qp ~count ~bytes ~ok =
+  match t.port with
+  | None -> ()
+  | Some f ->
+    f { pe_dir = dir; pe_issue = now; pe_start = start; pe_complete = complete;
+        pe_qp = qp; pe_count = count; pe_bytes = bytes; pe_ok = ok }
 
 let set_fault_rate t rate =
   if rate < 0.0 || rate > 1.0 then
@@ -192,11 +184,11 @@ let check_out_now t now =
          t.last_out_now);
   t.last_out_now <- now
 
-(* One decision per transfer attempt, drawn from the fabric's own
-   seeded PRNG: the schedule is a pure function of the seed and the
-   attempt sequence, so the whole simulation stays deterministic.  At
-   rate 0 the PRNG is never consulted — the fault-free path is
-   bit-identical to a fabric without fault injection. *)
+(* One decision per request, drawn from the fabric's own seeded PRNG:
+   the schedule is a pure function of the seed and the request
+   sequence, so the whole simulation stays deterministic.  At rate 0
+   the PRNG is never consulted — the fault-free path is bit-identical
+   to a fabric without fault injection. *)
 let draw_fault t =
   let fc = t.cfg.faults in
   if t.fault_rate <= 0.0 || fc.fault_kinds = [] then None
@@ -218,191 +210,115 @@ let serialization cfg bytes =
 
 let nominal_fetch_cycles t ~bytes = t.cfg.proto_cycles + serialization t.cfg bytes
 
-(* Least-loaded dispatch: the QP that frees up first wins; ties go to
-   the lowest index so dispatch is deterministic. *)
-let pick_qp t =
-  let best = ref 0 in
-  for i = 1 to Array.length t.in_busy_until - 1 do
-    if t.in_busy_until.(i) < t.in_busy_until.(!best) then best := i
-  done;
-  !best
-
-(* The [_raw] layer does the queueing/accounting but emits no port
-   event: the fault-injecting wrappers adjust the completion time
-   after the fact (Late/Duplicate) and must emit the final record
-   themselves, exactly once. *)
-let fetch_info_raw ~scale t ~now ~bytes =
+(* The one inbound reservation every request takes: the clock guard,
+   least-loaded dispatch (the QP that frees up first wins; ties go to
+   the lowest index, so dispatch is deterministic) and the wait charged
+   to that QP.  The request starts at [max now in_busy_until.(qp)]. *)
+let reserve t ~now =
   check_in_now t now;
-  let qp = pick_qp t in
-  let start = max now t.in_busy_until.(qp) in
-  let queued = start - now in
-  t.queue_in_cycles <- t.queue_in_cycles + queued;
-  t.qp_queue_cycles.(qp) <- t.qp_queue_cycles.(qp) + queued;
-  let proto = scale_cycles scale.s_proto t.cfg.proto_cycles in
-  let ser = scale_cycles scale.s_wire (serialization t.cfg bytes) in
-  (* The protocol cost is per-request work (doorbells, completion
-     polling, bookkeeping) that occupies the queue pair, not just
-     latency: back-to-back requests serialize behind it.  This is what
-     batching amortizes. *)
-  t.in_busy_until.(qp) <- start + proto + ser;
-  t.fetches <- t.fetches + 1;
-  t.fetched_bytes <- t.fetched_bytes + bytes;
-  { t_start = start; t_queued = queued;
-    t_complete = start + proto + ser; t_qp = qp;
-    t_proto = proto; t_ser = ser; t_fault = None }
-
-let fetch_info ?(scale = unit_scale) t ~now ~bytes =
-  let tr = fetch_info_raw ~scale t ~now ~bytes in
-  emit_transfer t ~now ~count:1 ~bytes tr;
-  tr
-
-let fetch ?scale t ~now ~bytes = (fetch_info ?scale t ~now ~bytes).t_complete
+  let qp = ref 0 in
+  for i = 1 to Array.length t.in_busy_until - 1 do
+    if t.in_busy_until.(i) < t.in_busy_until.(!qp) then qp := i
+  done;
+  let q = t.s.qp_queue_cycles in
+  q.(!qp) <- q.(!qp) + max 0 (t.in_busy_until.(!qp) - now);
+  !qp
 
 (* A transient failure crosses the wire and comes back as a NACK: the
    queue pair is held for the protocol turnaround, nothing lands, and
    the caller decides whether to retry. *)
-let transient_failure t ~scale ~now =
-  check_in_now t now;
-  let qp = pick_qp t in
+let nack t ~now ~qp ~proto ~sizes =
+  let s = t.s in
   let start = max now t.in_busy_until.(qp) in
-  let queued = start - now in
-  t.queue_in_cycles <- t.queue_in_cycles + queued;
-  t.qp_queue_cycles.(qp) <- t.qp_queue_cycles.(qp) + queued;
-  let fail = start + scale_cycles scale.s_proto t.cfg.proto_cycles in
+  let fail = start + proto in
   t.in_busy_until.(qp) <- fail;
-  t.faults_transient <- t.faults_transient + 1;
-  t.failed_fetches <- t.failed_fetches + 1;
+  s.faults_transient <- s.faults_transient + 1;
+  s.failed_fetches <- s.failed_fetches + 1;
+  emit t `In ~now ~start ~complete:fail ~qp ~count:(Array.length sizes)
+    ~bytes:(Array.fold_left ( + ) 0 sizes) ~ok:false;
   { f_start = start; f_fail = fail; f_qp = qp }
 
+(* The transfer core every inbound request that lands runs through.
+   One request/response pair carries [sizes]: the protocol cost is
+   paid once, and object [i] lands ([completions.(i)]) as soon as its
+   bytes have streamed off the wire behind its predecessors.  The
+   protocol cost is per-request work (doorbells, completion polling,
+   bookkeeping) that occupies the queue pair, not just latency:
+   back-to-back requests serialize behind it, which is what batching
+   amortizes.  The fault kinds that still deliver:
+   - [Late]: congestion delays the whole response stream, so every
+     object lands [late] cycles later and the QP stays tied up until
+     the late completion.  The delay rides in [t_ser], so
+     [t_queued + t_proto + t_ser = t_complete - now] still holds for
+     callers that wait the transfer out.
+   - [Duplicate]: the data lands on time, but a duplicated completion
+     occupies the QP for another protocol turn — timing only: the
+     caller deduplicates by construction (the object is marked resident
+     exactly once). *)
+let deliver t ~scale ~now ~qp ~proto ~sizes ~completions fault =
+  let s = t.s in
+  let n = Array.length sizes in
+  let start = max now t.in_busy_until.(qp) in
+  let late =
+    match fault with
+    | Some Late -> s.faults_late <- s.faults_late + 1; late_extra t ~scale
+    | _ -> 0
+  in
+  let ser = ref 0 and bytes = ref 0 in
+  for i = 0 to n - 1 do
+    ser := !ser + scale_cycles scale.s_wire (serialization t.cfg sizes.(i));
+    bytes := !bytes + sizes.(i);
+    completions.(i) <- start + proto + late + !ser
+  done;
+  let complete = completions.(n - 1) in
+  let drain =
+    match fault with
+    | Some Duplicate -> s.faults_dup <- s.faults_dup + 1; proto
+    | _ -> 0
+  in
+  t.in_busy_until.(qp) <- complete + drain;
+  s.fetches <- s.fetches + n;
+  s.fetched_bytes <- s.fetched_bytes + !bytes;
+  emit t `In ~now ~start ~complete ~qp ~count:n ~bytes:!bytes ~ok:true;
+  { t_start = start; t_queued = start - now; t_complete = complete; t_qp = qp;
+    t_proto = proto; t_ser = late + !ser; t_fault = fault }
+
+(* The request path of both fault-injected entry points: one fault
+   decision, then the reservation, then a NACK or the transfer core. *)
+let attempt t ~scale ~now ~sizes ~completions =
+  let fault = draw_fault t in
+  let qp = reserve t ~now in
+  let proto = scale_cycles scale.s_proto t.cfg.proto_cycles in
+  match fault with
+  | Some Transient -> Error (nack t ~now ~qp ~proto ~sizes)
+  | fault -> Ok (deliver t ~scale ~now ~qp ~proto ~sizes ~completions fault)
+
 let fetch_attempt ?(scale = unit_scale) t ~now ~bytes =
-  match draw_fault t with
-  | None -> Ok (fetch_info ~scale t ~now ~bytes)
-  | Some Transient ->
-    let f = transient_failure t ~scale ~now in
-    emit_failure t ~now ~count:1 ~bytes f;
-    Error f
-  | Some Late ->
-    let tr = fetch_info_raw ~scale t ~now ~bytes in
-    let extra = late_extra t ~scale in
-    t.faults_late <- t.faults_late + 1;
-    (* Congestion: the response crawls, and the queue pair stays tied
-       up until the late completion.  The delay rides in [t_ser] so
-       [t_queued + t_proto + t_ser = t_complete - now] still holds for
-       callers that wait the transfer out. *)
-    t.in_busy_until.(tr.t_qp) <- tr.t_complete + extra;
-    let tr = { tr with t_complete = tr.t_complete + extra;
-                       t_ser = tr.t_ser + extra; t_fault = Some Late } in
-    emit_transfer t ~now ~count:1 ~bytes tr;
-    Ok tr
-  | Some Duplicate ->
-    let tr = fetch_info_raw ~scale t ~now ~bytes in
-    t.faults_dup <- t.faults_dup + 1;
-    (* The data lands on time, but a duplicated completion occupies the
-       queue pair for another protocol turn — timing-only: the caller
-       deduplicates by construction (the object is marked resident
-       exactly once). *)
-    t.in_busy_until.(tr.t_qp)
-      <- tr.t_complete + scale_cycles scale.s_proto t.cfg.proto_cycles;
-    let tr = { tr with t_fault = Some Duplicate } in
-    emit_transfer t ~now ~count:1 ~bytes tr;
-    Ok tr
+  t.one_size.(0) <- bytes;
+  attempt t ~scale ~now ~sizes:t.one_size ~completions:t.one_done
+
+let fetch_many_attempt ?(scale = unit_scale) t ~now ~sizes =
+  let n = Array.length sizes in
+  if n = 0 then invalid_arg "Fabric.fetch_many_attempt: empty batch";
+  let completions = Array.make n 0 in
+  match attempt t ~scale ~now ~sizes ~completions with
+  | Error f -> Error f
+  | Ok tr ->
+    t.s.batches <- t.s.batches + 1;
+    t.s.batched_objects <- t.s.batched_objects + n;
+    Ok (tr, completions)
 
 (* Escalation path after retries are exhausted: a heavyweight reliable
    channel (think RC send with end-to-end acknowledgement instead of
    one-sided reads) that pays the protocol cost twice and never
    faults.  Guarantees forward progress at any fault rate. *)
 let fetch_reliable ?(scale = unit_scale) t ~now ~bytes =
-  check_in_now t now;
-  let qp = pick_qp t in
-  let start = max now t.in_busy_until.(qp) in
-  let queued = start - now in
-  t.queue_in_cycles <- t.queue_in_cycles + queued;
-  t.qp_queue_cycles.(qp) <- t.qp_queue_cycles.(qp) + queued;
-  let ser = scale_cycles scale.s_wire (serialization t.cfg bytes) in
-  let proto = 2 * scale_cycles scale.s_proto t.cfg.proto_cycles in
-  t.in_busy_until.(qp) <- start + proto + ser;
-  t.fetches <- t.fetches + 1;
-  t.fetched_bytes <- t.fetched_bytes + bytes;
-  t.reliable_fetches <- t.reliable_fetches + 1;
-  let tr =
-    { t_start = start; t_queued = queued; t_complete = start + proto + ser;
-      t_qp = qp; t_proto = proto; t_ser = ser; t_fault = None }
-  in
-  emit_transfer t ~now ~count:1 ~bytes tr;
-  tr
-
-let fetch_many_raw ~scale t ~now ~sizes =
-  let n = Array.length sizes in
-  if n = 0 then invalid_arg "Fabric.fetch_many: empty batch";
-  check_in_now t now;
-  let qp = pick_qp t in
-  let start = max now t.in_busy_until.(qp) in
-  let queued = start - now in
-  t.queue_in_cycles <- t.queue_in_cycles + queued;
-  t.qp_queue_cycles.(qp) <- t.qp_queue_cycles.(qp) + queued;
-  let proto = scale_cycles scale.s_proto t.cfg.proto_cycles in
-  (* One request/response pair carries the whole batch: the protocol
-     overhead is paid once, each object lands as soon as its bytes have
-     streamed off the wire behind its predecessors. *)
-  let completions = Array.make n 0 in
-  let cum = ref 0 in
-  let total = ref 0 in
-  for i = 0 to n - 1 do
-    cum := !cum + scale_cycles scale.s_wire (serialization t.cfg sizes.(i));
-    total := !total + sizes.(i);
-    completions.(i) <- start + proto + !cum
-  done;
-  (* One request, one protocol cost: the QP is held for proto plus the
-     batch's summed serialization — per object, a [1/n] share of the
-     overhead that dominates small transfers. *)
-  t.in_busy_until.(qp) <- start + proto + !cum;
-  t.fetches <- t.fetches + n;
-  t.fetched_bytes <- t.fetched_bytes + !total;
-  t.batches <- t.batches + 1;
-  t.batched_objects <- t.batched_objects + n;
-  ({ t_start = start; t_queued = queued;
-     t_complete = completions.(n - 1); t_qp = qp;
-     t_proto = proto; t_ser = !cum; t_fault = None },
-   completions)
-
-let batch_bytes sizes = Array.fold_left ( + ) 0 sizes
-
-let fetch_many ?(scale = unit_scale) t ~now ~sizes =
-  let (tr, completions) = fetch_many_raw ~scale t ~now ~sizes in
-  emit_transfer t ~now ~count:(Array.length sizes) ~bytes:(batch_bytes sizes) tr;
-  (tr, completions)
-
-let fetch_many_attempt ?(scale = unit_scale) t ~now ~sizes =
-  match draw_fault t with
-  | None -> Ok (fetch_many ~scale t ~now ~sizes)
-  | Some Transient ->
-    if Array.length sizes = 0 then
-      invalid_arg "Fabric.fetch_many_attempt: empty batch";
-    let f = transient_failure t ~scale ~now in
-    emit_failure t ~now ~count:(Array.length sizes) ~bytes:(batch_bytes sizes) f;
-    Error f
-  | Some Late ->
-    let tr, completions = fetch_many_raw ~scale t ~now ~sizes in
-    let extra = late_extra t ~scale in
-    t.faults_late <- t.faults_late + 1;
-    (* The whole response stream is delayed behind the congested
-       request: every object in the batch lands [extra] cycles late. *)
-    Array.iteri (fun i c -> completions.(i) <- c + extra) completions;
-    t.in_busy_until.(tr.t_qp) <- tr.t_complete + extra;
-    let tr = { tr with t_complete = tr.t_complete + extra;
-                       t_ser = tr.t_ser + extra; t_fault = Some Late } in
-    emit_transfer t ~now ~count:(Array.length sizes) ~bytes:(batch_bytes sizes)
-      tr;
-    Ok (tr, completions)
-  | Some Duplicate ->
-    let tr, completions = fetch_many_raw ~scale t ~now ~sizes in
-    t.faults_dup <- t.faults_dup + 1;
-    t.in_busy_until.(tr.t_qp)
-      <- tr.t_complete + scale_cycles scale.s_proto t.cfg.proto_cycles;
-    let tr = { tr with t_fault = Some Duplicate } in
-    emit_transfer t ~now ~count:(Array.length sizes) ~bytes:(batch_bytes sizes)
-      tr;
-    Ok (tr, completions)
+  let qp = reserve t ~now in
+  t.one_size.(0) <- bytes;
+  t.s.reliable_fetches <- t.s.reliable_fetches + 1;
+  deliver t ~scale ~now ~qp
+    ~proto:(2 * scale_cycles scale.s_proto t.cfg.proto_cycles)
+    ~sizes:t.one_size ~completions:t.one_done None
 
 (* Writeback faults never reach the caller: posted writes are
    asynchronous, so the fabric absorbs the fault by re-posting (or
@@ -412,43 +328,35 @@ let wb_fault_extra t =
   match draw_fault t with
   | None -> 0
   | Some k ->
-    t.wb_faults <- t.wb_faults + 1;
+    t.s.wb_faults <- t.s.wb_faults + 1;
     (match k with
      | Transient -> t.cfg.proto_cycles (* NACKed posting, re-posted *)
      | Late -> late_extra t ~scale:unit_scale
      | Duplicate -> t.cfg.proto_cycles (* duplicate ack drained *))
 
-(* Writebacks are posted writes: the CPU never waits for them, but the
-   request still crosses the wire, so the outbound direction is
-   occupied for the full protocol + serialization time — the same cost
-   structure as a fetch, just asynchronous (DESIGN.md §fabric). *)
-let emit_writeback t ~now ~start ~count ~bytes =
-  emit t
-    { pe_dir = `Out; pe_issue = now; pe_start = start;
-      pe_complete = t.out_busy_until; pe_qp = -1;
-      pe_count = count; pe_bytes = bytes; pe_ok = true }
-
-let writeback t ~now ~bytes =
+(* The one posting path for writebacks.  Writebacks are posted writes:
+   the CPU never waits for them, but the request still crosses the
+   wire, so the outbound direction is occupied for the full protocol +
+   serialization time — the same cost structure as a fetch, just
+   asynchronous (DESIGN.md §fabric). *)
+let post t ~now ~count ~bytes =
   check_out_now t now;
+  let s = t.s in
   let start = max now t.out_busy_until in
-  t.queue_out_cycles <- t.queue_out_cycles + (start - now);
+  s.queue_out_cycles <- s.queue_out_cycles + (start - now);
   t.out_busy_until <-
     start + t.cfg.proto_cycles + serialization t.cfg bytes + wb_fault_extra t;
-  t.writebacks <- t.writebacks + 1;
-  t.written_bytes <- t.written_bytes + bytes;
-  emit_writeback t ~now ~start ~count:1 ~bytes
+  s.writebacks <- s.writebacks + count;
+  s.written_bytes <- s.written_bytes + bytes;
+  emit t `Out ~now ~start ~complete:t.out_busy_until ~qp:(-1) ~count ~bytes
+    ~ok:true
+
+let writeback t ~now ~bytes = post t ~now ~count:1 ~bytes
 
 let writeback_many t ~now ~count ~bytes =
   if count < 1 then invalid_arg "Fabric.writeback_many: empty batch";
-  check_out_now t now;
-  let start = max now t.out_busy_until in
-  t.queue_out_cycles <- t.queue_out_cycles + (start - now);
-  t.out_busy_until <-
-    start + t.cfg.proto_cycles + serialization t.cfg bytes + wb_fault_extra t;
-  t.writebacks <- t.writebacks + count;
-  t.written_bytes <- t.written_bytes + bytes;
-  t.wb_batches <- t.wb_batches + 1;
-  emit_writeback t ~now ~start ~count ~bytes
+  post t ~now ~count ~bytes;
+  t.s.wb_batches <- t.s.wb_batches + 1
 
 let inbound_busy_until t =
   Array.fold_left min t.in_busy_until.(0) t.in_busy_until
@@ -456,19 +364,9 @@ let inbound_busy_until t =
 let outbound_busy_until t = t.out_busy_until
 
 let stats t =
-  { fetches = t.fetches; fetched_bytes = t.fetched_bytes;
-    batches = t.batches; batched_objects = t.batched_objects;
-    writebacks = t.writebacks; written_bytes = t.written_bytes;
-    wb_batches = t.wb_batches;
-    queue_in_cycles = t.queue_in_cycles;
-    queue_out_cycles = t.queue_out_cycles;
-    qp_queue_cycles = Array.copy t.qp_queue_cycles;
-    faults_transient = t.faults_transient;
-    faults_late = t.faults_late;
-    faults_dup = t.faults_dup;
-    failed_fetches = t.failed_fetches;
-    reliable_fetches = t.reliable_fetches;
-    wb_faults = t.wb_faults }
+  { t.s with
+    queue_in_cycles = Array.fold_left ( + ) 0 t.s.qp_queue_cycles;
+    qp_queue_cycles = Array.copy t.s.qp_queue_cycles }
 
 let add_stats (a : stats) (b : stats) =
   let qp =
@@ -497,25 +395,3 @@ let add_stats (a : stats) (b : stats) =
 
 let faults_injected (s : stats) =
   s.faults_transient + s.faults_late + s.faults_dup
-
-let reset t =
-  Array.fill t.in_busy_until 0 (Array.length t.in_busy_until) 0;
-  Array.fill t.qp_queue_cycles 0 (Array.length t.qp_queue_cycles) 0;
-  t.out_busy_until <- 0;
-  t.last_in_now <- 0;
-  t.last_out_now <- 0;
-  t.fetches <- 0;
-  t.fetched_bytes <- 0;
-  t.batches <- 0;
-  t.batched_objects <- 0;
-  t.writebacks <- 0;
-  t.written_bytes <- 0;
-  t.wb_batches <- 0;
-  t.queue_in_cycles <- 0;
-  t.queue_out_cycles <- 0;
-  t.faults_transient <- 0;
-  t.faults_late <- 0;
-  t.faults_dup <- 0;
-  t.failed_fetches <- 0;
-  t.reliable_fetches <- 0;
-  t.wb_faults <- 0

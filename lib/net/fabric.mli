@@ -14,10 +14,10 @@
       transfers serialize behind earlier ones on the same QP, so deep
       prefetch windows genuinely contend with demand fetches — but a
       second QP lets a demand fault slip past a streaming window;
-    - batching ({!fetch_many}): a run of objects coalesced into one
-      request pays [proto_cycles] once plus the summed serialization —
-      the RPC-aggregation effect that makes prefetching amortize
-      anything at all;
+    - batching ({!fetch_many_attempt}): a run of objects coalesced into
+      one request pays [proto_cycles] once plus the summed
+      serialization — the RPC-aggregation effect that makes
+      prefetching amortize anything at all;
     - posted writebacks: evictions occupy the outbound direction for
       the full protocol + serialization time but never block the CPU;
     - deterministic fault injection (off by default): a seeded PRNG
@@ -105,15 +105,6 @@ val set_fault_rate : t -> float -> unit
 val faults_configured : t -> bool
 (** True when the fabric was created with a non-zero fault rate. *)
 
-val fetch : ?scale:scale -> t -> now:int -> bytes:int -> int
-(** Schedule an inbound transfer starting at [now]; returns its
-    completion time (≥ [now + proto + serialization]).  Never faulted
-    (fault injection applies to the [_attempt] entry points).
-    [scale] (default {!unit_scale}) multiplies the protocol and wire
-    terms for this call.
-    @raise Invalid_argument when [now] precedes an earlier inbound
-    call's [now] (clock moved backwards; see {!fetch_attempt}). *)
-
 type transfer = {
   t_start : int;     (** when a queue pair picked the transfer up *)
   t_queued : int;    (** [t_start - now]: cycles spent waiting in line *)
@@ -146,8 +137,8 @@ type port_event = {
   pe_ok : bool;       (** [false]: transient NACK, nothing landed *)
 }
 (** One record per wire-level request, as observed at this fabric's
-    port.  Emitted with {e final} times — fault wrappers extend the
-    completion before emitting, so an observer never sees a
+    port.  Emitted with {e final} times — a Late or Duplicate fault has
+    already extended the completion, so an observer never sees a
     provisional timestamp — and exactly once per request.  Because the
     fabric rejects a backwards [now] per direction, the emitted stream
     is nondecreasing in [pe_issue] per direction. *)
@@ -157,43 +148,38 @@ val set_port : t -> (port_event -> unit) option -> unit
     callback sees every event but cannot perturb timing or stats —
     [None] (the default) is bit-identical to any installed observer. *)
 
-val fetch_info : ?scale:scale -> t -> now:int -> bytes:int -> transfer
-(** Like {!fetch}, but exposes the queue/protocol/serialization split
-    ([t_queued + t_proto + t_ser = t_complete - now]) so callers (the
-    runtime's cycle-attribution profiler and the stall-attribution
-    ledger) can decompose stall cycles into root causes instead of
-    reporting one opaque fetch cost. *)
-
 val fetch_attempt :
   ?scale:scale -> t -> now:int -> bytes:int -> (transfer, failure) result
-(** {!fetch_info} through the fault injector: one fault decision is
-    drawn per attempt.  [Error] is a transient failure (retry at a
-    later [now] if desired); [Ok] transfers may still carry a [Late]
-    or [Duplicate] fault in [t_fault].  With the rate at 0 this is
-    exactly [Ok (fetch_info ...)] and consults no randomness.
+(** Schedule an inbound fetch of one object starting at [now] on the
+    least-loaded queue pair, through the fault injector: one fault
+    decision is drawn per attempt.  [Error] is a transient failure
+    (retry at a later [now] if desired); [Ok] transfers may still carry
+    a [Late] or [Duplicate] fault in [t_fault].  The transfer exposes
+    the queue/protocol/serialization split
+    ([t_queued + t_proto + t_ser = t_complete - now]) so the runtime's
+    cycle-attribution profiler and stall ledger can decompose stall
+    cycles into root causes.  With the rate at 0 the attempt never
+    fails and consults no randomness.  [scale] (default {!unit_scale})
+    multiplies the protocol and wire terms for this call.
 
     Retried attempts MUST re-enter at a non-decreasing [now]: the
     fabric raises [Invalid_argument] when the inbound clock moves
     backwards rather than corrupting queue state. *)
 
-val fetch_many :
-  ?scale:scale -> t -> now:int -> sizes:int array -> transfer * int array
-(** Coalesce a batch of objects into one request on the least-loaded
-    queue pair.  The protocol cost is paid once; object [i] completes
-    at [start + proto + Σ serialization sizes.(0..i)] (returned in the
-    array, index-aligned with [sizes]), and the QP stays busy for the
-    summed serialization only.  Counts one batch and [n] fetches in
-    {!stats}.  Never faulted; raises on a backwards [now] like
-    {!fetch_info}.
-    @raise Invalid_argument on an empty batch. *)
-
 val fetch_many_attempt :
   ?scale:scale -> t -> now:int -> sizes:int array ->
   (transfer * int array, failure) result
-(** {!fetch_many} through the fault injector: one decision for the
-    whole request (it is one request on the wire).  A transient fault
-    NACKs the entire batch; a late fault delays every completion in it
-    by the same congestion term.
+(** Coalesce a batch of objects into one request on the least-loaded
+    queue pair, through the fault injector.  The protocol cost is paid
+    once; object [i] completes at
+    [start + proto + Σ serialization sizes.(0..i)] (returned in the
+    array, index-aligned with [sizes]), and the QP stays busy for one
+    protocol cost plus the summed serialization.  One fault decision
+    covers the whole request (it is one request on the wire): a
+    transient fault NACKs the entire batch, a late fault delays every
+    completion in it by the same congestion term.  A completed request
+    counts one batch and [n] fetches in {!stats}; a NACKed one counts
+    neither.
     @raise Invalid_argument on an empty batch or a backwards [now]. *)
 
 val fetch_reliable : ?scale:scale -> t -> now:int -> bytes:int -> transfer
@@ -201,7 +187,8 @@ val fetch_reliable : ?scale:scale -> t -> now:int -> bytes:int -> transfer
     heavyweight reliable channel (send with end-to-end acknowledgement
     rather than a one-sided read) paying [2 * proto_cycles] plus
     serialization.  Never faulted — guarantees forward progress at any
-    fault rate.  Counted in {!stats} [reliable_fetches]. *)
+    fault rate.  Counted in {!stats} [reliable_fetches].
+    @raise Invalid_argument on a backwards [now]. *)
 
 val nominal_fetch_cycles : t -> bytes:int -> int
 (** Uncontended end-to-end fetch cost ([proto + serialization]) —
@@ -231,29 +218,32 @@ val inbound_busy_until : t -> int
 val outbound_busy_until : t -> int
 (** When the outbound direction frees up (for tests). *)
 
-type stats = {
-  fetches : int;           (** objects fetched (batched or not) *)
-  fetched_bytes : int;
-  batches : int;           (** coalesced inbound requests *)
-  batched_objects : int;   (** objects carried by those requests *)
-  writebacks : int;        (** objects written back *)
-  written_bytes : int;
-  wb_batches : int;        (** coalesced outbound requests *)
+type stats = private {
+  mutable fetches : int;           (** objects fetched (batched or not) *)
+  mutable fetched_bytes : int;
+  mutable batches : int;           (** coalesced inbound requests *)
+  mutable batched_objects : int;   (** objects carried by those requests *)
+  mutable writebacks : int;        (** objects written back *)
+  mutable written_bytes : int;
+  mutable wb_batches : int;        (** coalesced outbound requests *)
   queue_in_cycles : int;
-      (** cycles inbound transfers (fetches) spent queued, all QPs *)
-  queue_out_cycles : int;
+      (** cycles inbound transfers (fetches) spent queued, all QPs: the
+          sum of [qp_queue_cycles] *)
+  mutable queue_out_cycles : int;
       (** cycles outbound transfers (writebacks) spent queued *)
   qp_queue_cycles : int array;
       (** inbound queue cycles per queue pair (length [qp_count]) *)
-  faults_transient : int;  (** inbound transfers NACKed *)
-  faults_late : int;       (** inbound completions delayed by congestion *)
-  faults_dup : int;        (** duplicated inbound completions *)
-  failed_fetches : int;    (** failed fetch attempts (= transient faults) *)
-  reliable_fetches : int;  (** escalations over the reliable channel *)
-  wb_faults : int;         (** outbound faults absorbed by the fabric *)
+  mutable faults_transient : int;  (** inbound transfers NACKed *)
+  mutable faults_late : int;       (** inbound completions delayed by congestion *)
+  mutable faults_dup : int;        (** duplicated inbound completions *)
+  mutable failed_fetches : int;    (** failed fetch attempts (= transient faults) *)
+  mutable reliable_fetches : int;  (** escalations over the reliable channel *)
+  mutable wb_faults : int;         (** outbound faults absorbed by the fabric *)
 }
+(** The fabric's counters.  Private: only the fabric writes them. *)
 
 val stats : t -> stats
+(** A snapshot of the counters: later requests do not change it. *)
 
 val add_stats : stats -> stats -> stats
 (** Field-wise sum, for aggregating per-tenant fabric slices into one
@@ -263,7 +253,3 @@ val add_stats : stats -> stats -> stats
 
 val faults_injected : stats -> int
 (** [faults_transient + faults_late + faults_dup] (inbound only). *)
-
-val reset : t -> unit
-(** Zero the counters, free both directions, and clear the
-    backwards-[now] guards.  The fault PRNG keeps its state. *)

@@ -8,7 +8,6 @@ type ds = {
   mutable prefetch_used : int;
   mutable prefetch_late : int;
   mutable evictions : int;
-  mutable alloc_bytes : int;
   mutable demotions : int;
   mutable fetched_bytes : int;
 }
@@ -16,7 +15,7 @@ type ds = {
 let make_ds () =
   { guards = 0; guard_hits = 0; remote_faults = 0; clean_faults = 0;
     plain_accesses = 0; prefetch_issued = 0; prefetch_used = 0;
-    prefetch_late = 0; evictions = 0; alloc_bytes = 0; demotions = 0;
+    prefetch_late = 0; evictions = 0; demotions = 0;
     fetched_bytes = 0 }
 
 type t = {
@@ -78,7 +77,6 @@ let add_into acc (d : ds) =
   acc.prefetch_used <- acc.prefetch_used + d.prefetch_used;
   acc.prefetch_late <- acc.prefetch_late + d.prefetch_late;
   acc.evictions <- acc.evictions + d.evictions;
-  acc.alloc_bytes <- acc.alloc_bytes + d.alloc_bytes;
   acc.demotions <- acc.demotions + d.demotions;
   acc.fetched_bytes <- acc.fetched_bytes + d.fetched_bytes
 

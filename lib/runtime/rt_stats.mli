@@ -15,7 +15,6 @@ type ds = {
   mutable prefetch_used : int;   (** prefetched object later accessed *)
   mutable prefetch_late : int;   (** access arrived before the data did *)
   mutable evictions : int;
-  mutable alloc_bytes : int;
   mutable demotions : int;       (** runtime overrides of a pinned hint *)
   mutable fetched_bytes : int;
       (** bytes this structure pulled over the fabric — demand

@@ -555,7 +555,6 @@ let ds_alloc t ~handle ~size =
          fall through on every access. *)
       t.pinned_used <- t.pinned_used + size;
       d.pinned_bytes <- d.pinned_bytes + size;
-      d.st.alloc_bytes <- d.st.alloc_bytes + size;
       alloc_unmanaged t ~size
     end
     else begin
@@ -564,12 +563,10 @@ let ds_alloc t ~handle ~size =
       let off = align_up d.pool_used align in
       let finish = off + size in
       d.data <- grow_bytes d.data finish;
-      let was = d.pool_used in
       d.pool_used <- finish;
       let first_obj = off lsr d.obj_shift in
       let last_obj = (finish - 1) lsr d.obj_shift in
       grow_objs d (last_obj + 1);
-      d.st.alloc_bytes <- d.st.alloc_bytes + (finish - was);
       for o = first_obj to last_obj do
         if d.objs.(o) land b_resident = 0 then begin
           d.objs.(o) <- d.objs.(o) lor b_resident;

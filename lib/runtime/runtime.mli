@@ -51,8 +51,9 @@ type config = {
           [None] (default) is bit-identical to the fixed depth. *)
   batching : bool;
       (** coalesce each prefetcher call's targets into one fabric
-          request ({!Cards_net.Fabric.fetch_many}) and eviction-burst
-          writebacks into posted batches; [false] issues per object *)
+          request ({!Cards_net.Fabric.fetch_many_attempt}) and
+          eviction-burst writebacks into posted batches; [false]
+          issues per object *)
   retry_max : int;
       (** demand-fetch retries before escalating to the fabric's
           reliable channel (only reachable under fault injection) *)

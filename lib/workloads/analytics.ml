@@ -1,25 +1,20 @@
 let n_zones = 256
 let n_hours = 24
 
-let source ~trips ~query_passes =
-  Printf.sprintf
-    {|
-// NYC-taxi-style analytics: synthetic trip table + query battery.
-// Columns and aggregation tables are separate heap structures; the
-// query functions receive them as pointers, so pool allocation must
-// thread data-structure handles through real call chains.
-int N = %d;          // trips
-int PASSES = %d;     // query battery repetitions
-int ZONES = %d;
-int HOURS = %d;
-
-int rng_state = 424242;
+(* MiniC text shared by the variants, spliced in with [%s] (so the [%]
+   in [rnd] is literal here).  [prelude] is the generator's RNG and
+   skew draws plus the aggregation helpers, used by all three;
+   [battery] is the column generator, Q1-Q8 and the cold query, used
+   by the two column-store variants.  perfbench reseeds a run by
+   rewriting the one [rng_state] line. *)
+let prelude =
+  {|int rng_state = 424242;
 
 int rnd(int bound) {
   rng_state = rng_state * 2862933555777941757 + 3037000493;
   int x = rng_state / 65536;
   if (x < 0) { x = 0 - x; }
-  return x %% bound;
+  return x % bound;
 }
 
 // Crude Zipf-ish zone draw: repeated halving biases small ids.
@@ -62,7 +57,10 @@ double fhist_avg_total(double *sum, int *cnt, int n) {
   }
   return acc;
 }
+|}
 
+let battery =
+  {|
 void generate(int *hour, int *month, int *pick_zone, int *drop_zone,
               double *dist, double *fare, double *tip, int *passengers,
               int *payment, int *duration, int *vendor) {
@@ -189,7 +187,21 @@ int q_odd_vendor(int *vendor, int *passengers) {
   }
   return odd;
 }
+|}
 
+let source ~trips ~query_passes =
+  Printf.sprintf
+    {|
+// NYC-taxi-style analytics: synthetic trip table + query battery.
+// Columns and aggregation tables are separate heap structures; the
+// query functions receive them as pointers, so pool allocation must
+// thread data-structure handles through real call chains.
+int N = %d;          // trips
+int PASSES = %d;     // query battery repetitions
+int ZONES = %d;
+int HOURS = %d;
+
+%s%s
 void main() {
   // ---- trip columns (11 structures) ----
   int *hour = malloc(N * 8);
@@ -236,14 +248,14 @@ void main() {
   print_int(odd_vendor);
 }
 |}
-    trips query_passes n_zones n_hours
+    trips query_passes n_zones n_hours prelude battery
 
 (* The serving variant: the same columns, tables, and query functions,
    but rooted in a global [struct Db] built once by [setup()] and
    queried one request at a time through [req(op, a, b)] — the shape a
    live session needs (state persists between calls; every request
    prints its result so per-tenant output streams can be compared bit
-   for bit).  Query arithmetic is copied from [source] verbatim, so a
+   for bit).  The query functions are [source]'s own ([battery]), so a
    request battery covering ops 0-7 reproduces one [source] pass. *)
 let source_server ~trips =
   Printf.sprintf
@@ -281,171 +293,7 @@ struct Db {
 
 struct Db *DB;
 
-int rng_state = 424242;
-
-int rnd(int bound) {
-  rng_state = rng_state * 2862933555777941757 + 3037000493;
-  int x = rng_state / 65536;
-  if (x < 0) { x = 0 - x; }
-  return x %% bound;
-}
-
-int zipf_zone() {
-  int z = rnd(ZONES);
-  int coin = rnd(4);
-  if (coin > 0) { z = z / 2; }
-  if (coin > 2) { z = z / 4; }
-  return z;
-}
-
-int skewed_hour() {
-  int coin = rnd(10);
-  if (coin < 3) { return 7 + rnd(3); }
-  if (coin < 6) { return 16 + rnd(4); }
-  return rnd(HOURS);
-}
-
-void fhist_reset(double *sum, int *cnt, int n) {
-  for (int i = 0; i < n; i = i + 1) {
-    sum[i] = 0.0;
-    cnt[i] = 0;
-  }
-}
-
-void fhist_add(double *sum, int *cnt, int slot, double x) {
-  sum[slot] = sum[slot] + x;
-  cnt[slot] = cnt[slot] + 1;
-}
-
-double fhist_avg_total(double *sum, int *cnt, int n) {
-  double acc = 0.0;
-  for (int i = 0; i < n; i = i + 1) {
-    if (cnt[i] > 0) {
-      acc = acc + sum[i] / (1.0 * cnt[i]);
-    }
-  }
-  return acc;
-}
-
-void generate(int *hour, int *month, int *pick_zone, int *drop_zone,
-              double *dist, double *fare, double *tip, int *passengers,
-              int *payment, int *duration, int *vendor) {
-  for (int i = 0; i < N; i = i + 1) {
-    hour[i] = skewed_hour();
-    month[i] = rnd(12);
-    pick_zone[i] = zipf_zone();
-    drop_zone[i] = zipf_zone();
-    double d = 0.5 + 0.01 * rnd(3000);
-    dist[i] = d;
-    fare[i] = 2.5 + 1.8 * d + 0.01 * rnd(200);
-    int card = rnd(10);
-    if (card < 6) { payment[i] = 1; } else { payment[i] = 0; }
-    if (payment[i] == 1) { tip[i] = fare[i] * 0.01 * (10 + rnd(15)); }
-    else { tip[i] = 0.0; }
-    passengers[i] = 1 + rnd(5);
-    duration[i] = 3 + rnd(60);
-    vendor[i] = rnd(2);
-  }
-}
-
-double q_fare_by_hour(int *hour, double *fare, double *sum, int *cnt) {
-  fhist_reset(sum, cnt, HOURS);
-  for (int i = 0; i < N; i = i + 1) {
-    fhist_add(sum, cnt, hour[i], fare[i]);
-  }
-  return fhist_avg_total(sum, cnt, HOURS);
-}
-
-double q_top_zones(int *pick_zone, int *zone_cnt, double *top_val, int *top_idx) {
-  for (int z = 0; z < ZONES; z = z + 1) { zone_cnt[z] = 0; }
-  for (int i = 0; i < N; i = i + 1) {
-    zone_cnt[pick_zone[i]] = zone_cnt[pick_zone[i]] + 1;
-  }
-  for (int t = 0; t < 10; t = t + 1) {
-    top_val[t] = 0.0;
-    top_idx[t] = -1;
-  }
-  for (int z = 0; z < ZONES; z = z + 1) {
-    double v = 1.0 * zone_cnt[z];
-    int slot = -1;
-    for (int t = 9; t >= 0; t = t - 1) {
-      if (v > top_val[t]) { slot = t; }
-    }
-    if (slot >= 0) {
-      for (int t = 9; t > slot; t = t - 1) {
-        top_val[t] = top_val[t - 1];
-        top_idx[t] = top_idx[t - 1];
-      }
-      top_val[slot] = v;
-      top_idx[slot] = z;
-    }
-  }
-  double acc = 0.0;
-  for (int t = 0; t < 10; t = t + 1) { acc = acc + 1.0 * top_idx[t]; }
-  return acc;
-}
-
-double q_long_trips(double *dist, int *payment, double *tip, double *fare) {
-  double long_tip = 0.0;
-  double long_fare = 0.0;
-  for (int i = 0; i < N; i = i + 1) {
-    if (dist[i] > 10.0 && payment[i] == 1) {
-      long_tip = long_tip + tip[i];
-      long_fare = long_fare + fare[i];
-    }
-  }
-  return long_tip + 0.001 * long_fare;
-}
-
-double q_monthly_revenue(int *month, double *fare, double *tip, double *rev) {
-  for (int m = 0; m < 12; m = m + 1) { rev[m] = 0.0; }
-  for (int i = 0; i < N; i = i + 1) {
-    rev[month[i]] = rev[month[i]] + fare[i] + tip[i];
-  }
-  double acc = 0.0;
-  for (int m = 0; m < 12; m = m + 1) { acc = acc + 0.000001 * rev[m]; }
-  return acc;
-}
-
-double q_payment_split(int *hour, int *payment, int *pay_matrix) {
-  for (int h = 0; h < HOURS * 2; h = h + 1) { pay_matrix[h] = 0; }
-  for (int i = 0; i < N; i = i + 1) {
-    int cell = hour[i] * 2 + payment[i];
-    pay_matrix[cell] = pay_matrix[cell] + 1;
-  }
-  double acc = 0.0;
-  for (int h = 0; h < HOURS; h = h + 1) {
-    int tot = pay_matrix[h * 2] + pay_matrix[h * 2 + 1];
-    if (tot > 0) { acc = acc + 1.0 * pay_matrix[h * 2 + 1] / (1.0 * tot); }
-  }
-  return acc;
-}
-
-double q_speed(int *hour, double *dist, int *duration, double *sum, int *cnt) {
-  fhist_reset(sum, cnt, HOURS);
-  for (int i = 0; i < N; i = i + 1) {
-    double mph = dist[i] * 60.0 / (1.0 * duration[i]);
-    fhist_add(sum, cnt, hour[i], mph);
-  }
-  return fhist_avg_total(sum, cnt, HOURS);
-}
-
-double q_zone_distance(int *pick_zone, double *dist, double *sum, int *cnt) {
-  fhist_reset(sum, cnt, ZONES);
-  for (int i = 0; i < N; i = i + 1) {
-    fhist_add(sum, cnt, pick_zone[i], dist[i]);
-  }
-  return fhist_avg_total(sum, cnt, ZONES);
-}
-
-int q_odd_vendor(int *vendor, int *passengers) {
-  int odd = 0;
-  for (int i = 0; i < N; i = i + 1) {
-    if (vendor[i] == 1 && passengers[i] > 4) { odd = odd + 1; }
-  }
-  return odd;
-}
-
+%s%s
 // Build the column store once; requests query it in place.
 void setup() {
   DB = malloc(sizeof(struct Db));
@@ -506,7 +354,7 @@ void main() {
   }
 }
 |}
-    trips n_zones n_hours
+    trips n_zones n_hours prelude battery
 
 (* The same trip table and query battery, but laid out row-wise: one
    array of 88-byte Trip records instead of eleven columns.  Each
@@ -539,52 +387,7 @@ struct Trip {
   int vendor;
 }
 
-int rng_state = 424242;
-
-int rnd(int bound) {
-  rng_state = rng_state * 2862933555777941757 + 3037000493;
-  int x = rng_state / 65536;
-  if (x < 0) { x = 0 - x; }
-  return x %% bound;
-}
-
-int zipf_zone() {
-  int z = rnd(ZONES);
-  int coin = rnd(4);
-  if (coin > 0) { z = z / 2; }
-  if (coin > 2) { z = z / 4; }
-  return z;
-}
-
-int skewed_hour() {
-  int coin = rnd(10);
-  if (coin < 3) { return 7 + rnd(3); }
-  if (coin < 6) { return 16 + rnd(4); }
-  return rnd(HOURS);
-}
-
-void fhist_reset(double *sum, int *cnt, int n) {
-  for (int i = 0; i < n; i = i + 1) {
-    sum[i] = 0.0;
-    cnt[i] = 0;
-  }
-}
-
-void fhist_add(double *sum, int *cnt, int slot, double x) {
-  sum[slot] = sum[slot] + x;
-  cnt[slot] = cnt[slot] + 1;
-}
-
-double fhist_avg_total(double *sum, int *cnt, int n) {
-  double acc = 0.0;
-  for (int i = 0; i < n; i = i + 1) {
-    if (cnt[i] > 0) {
-      acc = acc + sum[i] / (1.0 * cnt[i]);
-    }
-  }
-  return acc;
-}
-
+%s
 void generate(struct Trip *trips) {
   for (int i = 0; i < N; i = i + 1) {
     struct Trip *t = trips + i;
@@ -745,4 +548,4 @@ void main() {
   print_int(odd_vendor);
 }
 |}
-    trips query_passes n_zones n_hours
+    trips query_passes n_zones n_hours prelude

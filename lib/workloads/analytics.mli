@@ -29,7 +29,7 @@ val source_server : trips:int -> string
     query functions, rooted in a global [struct Db] that [setup()]
     builds once and [req(op, a, b)] queries per request (ops 0-6 =
     the float queries, op 7 = the cold integer query; each prints its
-    result).  Query arithmetic matches [source] verbatim, so a battery
+    result).  The query functions are [source]'s own, so a battery
     over ops 0-7 reproduces one [source] pass.  [main] runs exactly
     that battery standalone. *)
 

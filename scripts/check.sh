@@ -138,6 +138,24 @@ if [ "$status" != 1 ] || ! grep -q '^error: ' "$tmpdir/unwritable.err"; then
   exit 1
 fi
 
+echo "== bad flag values: named error, exit 1, at once"
+# Each is validated before anything runs.  The timeout catches a
+# --metrics-interval 0 that is clamped instead of rejected: sampling on
+# every access runs for half a minute and prints half a gigabyte.
+for args in "run examples/minic/listing1.mc --qp 0" "serve --quantum 0" \
+    "serve --pin-budget=-5" \
+    "run examples/minic/listing1.mc --metrics --metrics-interval 0"; do
+  status=0
+  # shellcheck disable=SC2086 # word-split the flag list on purpose
+  timeout 10 dune exec --no-build bin/cards_cli.exe -- $args \
+    > /dev/null 2> "$tmpdir/badflag.err" || status=$?
+  if [ "$status" != 1 ] || ! grep -q '^error: ' "$tmpdir/badflag.err"; then
+    echo "check.sh: cards $args exited $status" \
+      "(want 1 with an error: line)" >&2
+    exit 1
+  fi
+done
+
 if [ "$quick" = yes ]; then
   echo "== check.sh: quick pass green (bench gates skipped)"
   exit 0

@@ -51,22 +51,29 @@ let test_cost_table1 () =
 
 (* ---------- Fabric ---------- *)
 
+(* Fault-free requests through the attempt API (rate 0 never fails). *)
+let fetch f ~now ~bytes = Result.get_ok (N.Fabric.fetch_attempt f ~now ~bytes)
+let fetch_many f ~now ~sizes =
+  Result.get_ok (N.Fabric.fetch_many_attempt f ~now ~sizes)
+
 let test_fabric_59k () =
   (* Table 1: a 4 KiB demand fetch lands at ~59 K cycles. *)
   let f = N.Fabric.create N.Fabric.default_config in
-  let t = N.Fabric.fetch f ~now:0 ~bytes:R.Cost.cards_remote_object_bytes in
+  let t =
+    (fetch f ~now:0 ~bytes:R.Cost.cards_remote_object_bytes).t_complete
+  in
   check Alcotest.bool "within 5% of 59K" true
     (abs (t - 59_000) < 59_000 / 20)
 
 let test_fabric_trackfm_46k () =
   let f = N.Fabric.create N.Fabric.trackfm_config in
-  let t = N.Fabric.fetch f ~now:0 ~bytes:4096 in
+  let t = (fetch f ~now:0 ~bytes:4096).t_complete in
   check Alcotest.bool "within 5% of 46K" true (abs (t - 46_000) < 46_000 / 20)
 
 let test_fabric_queueing () =
   let f = N.Fabric.create N.Fabric.default_config in
-  let t1 = N.Fabric.fetch f ~now:0 ~bytes:4096 in
-  let t2 = N.Fabric.fetch f ~now:0 ~bytes:4096 in
+  let t1 = (fetch f ~now:0 ~bytes:4096).t_complete in
+  let t2 = (fetch f ~now:0 ~bytes:4096).t_complete in
   check Alcotest.bool "second transfer serializes" true (t2 > t1);
   let st = N.Fabric.stats f in
   check Alcotest.int "two fetches" 2 st.fetches;
@@ -78,7 +85,7 @@ let test_fabric_writeback_nonblocking () =
   let f = N.Fabric.create N.Fabric.default_config in
   N.Fabric.writeback f ~now:0 ~bytes:4096;
   (* Outbound traffic must not delay inbound fetches. *)
-  let t = N.Fabric.fetch f ~now:0 ~bytes:4096 in
+  let t = (fetch f ~now:0 ~bytes:4096).t_complete in
   check Alcotest.bool "fetch unaffected by writeback" true (t < 60_000);
   check Alcotest.int "writeback counted" 1 (N.Fabric.stats f).writebacks;
   (* A second immediate writeback queues behind the first on the
@@ -88,21 +95,20 @@ let test_fabric_writeback_nonblocking () =
   check Alcotest.bool "outbound queueing recorded" true (st.queue_out_cycles > 0)
 
 let test_fabric_bandwidth_term () =
-  let f = N.Fabric.create N.Fabric.default_config in
-  let small = N.Fabric.fetch f ~now:0 ~bytes:64 in
-  N.Fabric.reset f;
-  let big = N.Fabric.fetch f ~now:0 ~bytes:65536 in
+  let fresh () = N.Fabric.create N.Fabric.default_config in
+  let small = (fetch (fresh ()) ~now:0 ~bytes:64).t_complete in
+  let big = (fetch (fresh ()) ~now:0 ~bytes:65536).t_complete in
   check Alcotest.bool "bigger transfers take longer" true (big > small + 10_000)
 
 let test_fabric_fetch_many_amortizes () =
   (* Four 4 KiB objects in one request: the protocol cost is paid once,
      so the batch completes in a fraction of four serial fetches. *)
-  let f = N.Fabric.create N.Fabric.default_config in
-  let single = N.Fabric.fetch f ~now:0 ~bytes:4096 in
-  N.Fabric.reset f;
-  let tr, completions =
-    N.Fabric.fetch_many f ~now:0 ~sizes:(Array.make 4 4096)
+  let single =
+    (fetch (N.Fabric.create N.Fabric.default_config) ~now:0 ~bytes:4096)
+      .t_complete
   in
+  let f = N.Fabric.create N.Fabric.default_config in
+  let tr, completions = fetch_many f ~now:0 ~sizes:(Array.make 4 4096) in
   check Alcotest.int "one completion per object" 4 (Array.length completions);
   (* Per-object completions: strictly increasing, first = a plain
      fetch, last = proto + 4x serialization. *)
@@ -128,13 +134,13 @@ let test_fabric_qp_dispatch () =
   let f =
     N.Fabric.create { N.Fabric.default_config with qp_count = 2 }
   in
-  let t1 = N.Fabric.fetch_info f ~now:0 ~bytes:4096 in
-  let t2 = N.Fabric.fetch_info f ~now:0 ~bytes:4096 in
+  let t1 = fetch f ~now:0 ~bytes:4096 in
+  let t2 = fetch f ~now:0 ~bytes:4096 in
   check Alcotest.int "first not queued" 0 t1.N.Fabric.t_queued;
   check Alcotest.int "second not queued" 0 t2.N.Fabric.t_queued;
   check Alcotest.bool "different QPs" true
     (t1.N.Fabric.t_qp <> t2.N.Fabric.t_qp);
-  let t3 = N.Fabric.fetch_info f ~now:0 ~bytes:4096 in
+  let t3 = fetch f ~now:0 ~bytes:4096 in
   check Alcotest.bool "third queues" true (t3.N.Fabric.t_queued > 0);
   let st = N.Fabric.stats f in
   check Alcotest.int "per-QP counters sized" 2
@@ -181,7 +187,7 @@ let prop_fabric_completion_monotone =
       List.for_all
         (fun bytes ->
           now := !now + 100;
-          let t = N.Fabric.fetch f ~now:!now ~bytes in
+          let t = (fetch f ~now:!now ~bytes).t_complete in
           let ok = t >= !last && t > !now in
           last := t;
           ok)
@@ -897,6 +903,9 @@ let fault_fabric ?(rate = 1.0) ?(seed = 3) kinds =
 
 let proto = 55_800 (* default_config.proto_cycles *)
 
+(* The batch input of the per-kind fault tests: one request, 3 objects. *)
+let batch3 = Array.make 3 4096
+
 let test_fabric_fault_transient () =
   let f = fault_fabric [ N.Fabric.Transient ] in
   (match N.Fabric.fetch_attempt f ~now:0 ~bytes:4096 with
@@ -909,11 +918,31 @@ let test_fabric_fault_transient () =
   let st = N.Fabric.stats f in
   check Alcotest.int "transient counted" 1 st.faults_transient;
   check Alcotest.int "failed fetch counted" 1 st.failed_fetches;
-  check Alcotest.int "no fetch completed" 0 st.fetches
+  check Alcotest.int "no fetch completed" 0 st.fetches;
+  (* A NACK rejects the whole batch: one turnaround, nothing counted
+     as fetched or batched. *)
+  let f = fault_fabric [ N.Fabric.Transient ] in
+  (match N.Fabric.fetch_many_attempt f ~now:0 ~sizes:batch3 with
+   | Ok _ -> Alcotest.fail "rate-1 transient must NACK the batch"
+   | Error fl ->
+     check Alcotest.int "batch NACK after proto" proto fl.N.Fabric.f_fail);
+  let st = N.Fabric.stats f in
+  check Alcotest.int "batch transient counted" 1 st.faults_transient;
+  check Alcotest.int "NACKed batch fetches nothing" 0 st.fetches;
+  check Alcotest.int "NACKed batch is no batch" 0 st.batches;
+  check Alcotest.int "NACKed batch carries no objects" 0 st.batched_objects
+
+(* The congestion delay rides in the queued/proto/ser split, so
+   attribution still decomposes the whole stall. *)
+let check_split (tr : N.Fabric.transfer) ~now =
+  check Alcotest.int "split covers the stall" (tr.t_complete - now)
+    (tr.t_queued + tr.t_proto + tr.t_ser)
 
 let test_fabric_fault_late () =
-  let clean = N.Fabric.create N.Fabric.default_config in
-  let nominal = N.Fabric.fetch clean ~now:0 ~bytes:4096 in
+  let nominal =
+    (fetch (N.Fabric.create N.Fabric.default_config) ~now:0 ~bytes:4096)
+      .t_complete
+  in
   let f = fault_fabric [ N.Fabric.Late ] in
   (match N.Fabric.fetch_attempt f ~now:0 ~bytes:4096 with
    | Error _ -> Alcotest.fail "a late transfer still completes"
@@ -922,15 +951,35 @@ let test_fabric_fault_late () =
        (tr.N.Fabric.t_fault = Some N.Fabric.Late);
      check Alcotest.bool "completes after nominal" true
        (tr.N.Fabric.t_complete > nominal);
-     (* The congestion delay rides in the queued/proto/ser split, so
-        attribution still decomposes the whole stall. *)
-     check Alcotest.int "split covers the stall" tr.N.Fabric.t_complete
-       (tr.N.Fabric.t_queued + tr.N.Fabric.t_proto + tr.N.Fabric.t_ser));
-  check Alcotest.int "late counted" 1 (N.Fabric.stats f).faults_late
+     check_split tr ~now:0);
+  check Alcotest.int "late counted" 1 (N.Fabric.stats f).faults_late;
+  (* A late batch: the whole response stream lands behind the same
+     congestion delay. *)
+  let _, clean =
+    fetch_many (N.Fabric.create N.Fabric.default_config) ~now:0 ~sizes:batch3
+  in
+  let f = fault_fabric [ N.Fabric.Late ] in
+  (match N.Fabric.fetch_many_attempt f ~now:0 ~sizes:batch3 with
+   | Error _ -> Alcotest.fail "a late batch still completes"
+   | Ok (tr, completions) ->
+     check Alcotest.bool "batch tagged late" true
+       (tr.N.Fabric.t_fault = Some N.Fabric.Late);
+     let delay = completions.(0) - clean.(0) in
+     check Alcotest.bool "batch lands late" true (delay > 0);
+     check (Alcotest.array Alcotest.int) "every object equally late"
+       (Array.map (fun c -> c + delay) clean) completions;
+     check Alcotest.int "transfer completes with its last object"
+       completions.(2) tr.N.Fabric.t_complete;
+     check_split tr ~now:0);
+  let st = N.Fabric.stats f in
+  check Alcotest.int "late batch counted" 1 st.faults_late;
+  check Alcotest.int "late batch delivered" 1 st.batches
 
 let test_fabric_fault_duplicate () =
-  let clean = N.Fabric.create N.Fabric.default_config in
-  let nominal = N.Fabric.fetch clean ~now:0 ~bytes:4096 in
+  let nominal =
+    (fetch (N.Fabric.create N.Fabric.default_config) ~now:0 ~bytes:4096)
+      .t_complete
+  in
   let f = fault_fabric [ N.Fabric.Duplicate ] in
   (match N.Fabric.fetch_attempt f ~now:0 ~bytes:4096 with
    | Error _ -> Alcotest.fail "a duplicated transfer still completes"
@@ -940,19 +989,56 @@ let test_fabric_fault_duplicate () =
      check Alcotest.int "data on time" nominal tr.N.Fabric.t_complete;
      check Alcotest.bool "QP held draining the duplicate" true
        (N.Fabric.inbound_busy_until f > tr.N.Fabric.t_complete));
-  check Alcotest.int "duplicate counted" 1 (N.Fabric.stats f).faults_dup
+  check Alcotest.int "duplicate counted" 1 (N.Fabric.stats f).faults_dup;
+  (* A duplicated batch: clean completions, the QP held one protocol
+     turn past the clean batch. *)
+  let clean_f = N.Fabric.create N.Fabric.default_config in
+  let _, clean = fetch_many clean_f ~now:0 ~sizes:batch3 in
+  let f = fault_fabric [ N.Fabric.Duplicate ] in
+  (match N.Fabric.fetch_many_attempt f ~now:0 ~sizes:batch3 with
+   | Error _ -> Alcotest.fail "a duplicated batch still completes"
+   | Ok (tr, completions) ->
+     check Alcotest.bool "batch tagged duplicate" true
+       (tr.N.Fabric.t_fault = Some N.Fabric.Duplicate);
+     check (Alcotest.array Alcotest.int) "batch data on time" clean
+       completions);
+  check Alcotest.int "QP held one protocol turn longer"
+    (N.Fabric.inbound_busy_until clean_f + proto)
+    (N.Fabric.inbound_busy_until f);
+  check Alcotest.int "duplicate batch counted" 1 (N.Fabric.stats f).faults_dup
 
 let test_fabric_attempt_rate0_identity () =
-  (* With faults off, fetch_attempt is exactly fetch_info: same
-     schedule, no randomness consumed, Ok always. *)
-  let a = N.Fabric.create N.Fabric.default_config in
+  (* Rate 0 never faults and consumes no randomness, whatever the seed
+     and kinds: transfer for transfer the same schedule as the default
+     fabric, and switching the rate on later draws the schedule a fresh
+     fabric of that seed would. *)
+  let a = fault_fabric ~rate:0.0 ~seed:7 all_kinds in
   let b = N.Fabric.create N.Fabric.default_config in
   for i = 0 to 9 do
-    let ti = N.Fabric.fetch_info a ~now:(i * 10_000) ~bytes:4096 in
-    match N.Fabric.fetch_attempt b ~now:(i * 10_000) ~bytes:4096 with
-    | Ok tb -> check Alcotest.bool "identical transfer" true (ti = tb)
-    | Error _ -> Alcotest.fail "rate 0 cannot fail"
-  done
+    let now = i * 10_000 in
+    check Alcotest.bool "identical transfer" true
+      (N.Fabric.fetch_attempt a ~now ~bytes:4096
+       = N.Fabric.fetch_attempt b ~now ~bytes:4096);
+    check Alcotest.bool "identical batch" true
+      (N.Fabric.fetch_many_attempt a ~now ~sizes:batch3
+       = N.Fabric.fetch_many_attempt b ~now ~sizes:batch3);
+    N.Fabric.writeback a ~now ~bytes:4096;
+    N.Fabric.writeback b ~now ~bytes:4096
+  done;
+  check Alcotest.bool "identical stats" true
+    (N.Fabric.stats a = N.Fabric.stats b);
+  check Alcotest.int "identical outbound" (N.Fabric.outbound_busy_until b)
+    (N.Fabric.outbound_busy_until a);
+  let kinds f =
+    List.init 16 (fun i ->
+        let now = 1_000_000 + (i * 100_000) in
+        match N.Fabric.fetch_attempt f ~now ~bytes:64 with
+        | Ok tr -> tr.N.Fabric.t_fault
+        | Error _ -> Some N.Fabric.Transient)
+  in
+  N.Fabric.set_fault_rate a 0.5;
+  check Alcotest.bool "no randomness consumed at rate 0" true
+    (kinds a = kinds (fault_fabric ~rate:0.5 ~seed:7 all_kinds))
 
 let test_fabric_reliable_never_faults () =
   let f = fault_fabric all_kinds in
@@ -983,11 +1069,11 @@ let test_fabric_wb_fault_absorbed () =
 
 let test_fabric_now_backwards_rejected () =
   let f = N.Fabric.create N.Fabric.default_config in
-  ignore (N.Fabric.fetch_many f ~now:1000 ~sizes:[| 4096 |]);
+  ignore (fetch_many f ~now:1000 ~sizes:[| 4096 |]);
   (* Re-entering at the same now is fine (retries re-issue "now"). *)
-  ignore (N.Fabric.fetch_many f ~now:1000 ~sizes:[| 4096 |]);
+  ignore (fetch_many f ~now:1000 ~sizes:[| 4096 |]);
   (try
-     ignore (N.Fabric.fetch_many f ~now:999 ~sizes:[| 4096 |]);
+     ignore (N.Fabric.fetch_many_attempt f ~now:999 ~sizes:[| 4096 |]);
      Alcotest.fail "inbound clock moved backwards undetected"
    with Invalid_argument _ -> ());
   N.Fabric.writeback_many f ~now:2000 ~count:1 ~bytes:4096;
@@ -995,10 +1081,9 @@ let test_fabric_now_backwards_rejected () =
      N.Fabric.writeback_many f ~now:1999 ~count:1 ~bytes:4096;
      Alcotest.fail "outbound clock moved backwards undetected"
    with Invalid_argument _ -> ());
-  (* The directions guard independently, and reset clears both. *)
-  N.Fabric.reset f;
-  ignore (N.Fabric.fetch_many f ~now:0 ~sizes:[| 64 |]);
-  N.Fabric.writeback_many f ~now:0 ~count:1 ~bytes:64
+  (* The directions guard independently: the outbound clock at 2000
+     does not hold the inbound one back. *)
+  ignore (fetch_many f ~now:1000 ~sizes:[| 64 |])
 
 let test_fabric_fault_schedule_deterministic () =
   let run seed =
