@@ -498,18 +498,28 @@ let print_report rt =
     (R.Runtime.report rt);
   T.print t
 
+(* A flag as the user spells it: [-k], [--fault-rate]. *)
+let dashed flag = (if String.length flag = 1 then "-" else "--") ^ flag
+
 (* Probability-valued flags are validated up front: a typo'd
    [--fault-rate 1.5] must die with a usage error, not silently clamp
    or corrupt the deterministic fault schedule. *)
 let check_unit_interval flag v =
   if Float.is_nan v || v < 0.0 || v > 1.0 then
-    failwith (Printf.sprintf "--%s %g: expected a probability in [0,1]" flag v)
+    failwith
+      (Printf.sprintf "%s %g: expected a probability in [0,1]" (dashed flag) v)
 
 (* Integer flags with a floor: a bad value dies here with a named
    usage error, not deep inside a constructor as an uncaught
    Invalid_argument, and is never clamped without a word. *)
 let check_min flag v ~min ~need =
-  if v < min then failwith (Printf.sprintf "--%s %d: need %s" flag v need)
+  if v < min then
+    failwith (Printf.sprintf "%s %d: need %s" (dashed flag) v need)
+
+(* The same for a float floor; NaN and infinities are rejected too. *)
+let check_min_float flag v ~min ~need =
+  if not (Float.is_finite v && v >= min) then
+    failwith (Printf.sprintf "%s %g: need %s" (dashed flag) v need)
 
 (* Domain counts are validated the same way: a bad value dies with a
    usage error, while merely-ambitious ones (more domains than the host
@@ -532,8 +542,13 @@ let run_cmd =
     with_errors (fun () ->
         check_unit_interval "fault-rate" fault_rate;
         check_unit_interval "span-rate" span_rate;
+        check_unit_interval "k" k;
         check_domains domains;
         check_min "qp" qp ~min:1 ~need:"at least one queue pair";
+        check_min "retry-max" retry_max ~min:0
+          ~need:"a non-negative retry count";
+        check_min "trace-capacity" trace_cap ~min:1
+          ~need:"room for at least one event";
         check_min "metrics-interval" metrics_interval ~min:1
           ~need:"a positive sampling period";
         Option.iter
@@ -758,6 +773,9 @@ let serve_cmd =
         if tenants <= 0 then failwith "--tenants: need at least one";
         check_domains domains;
         check_min "quantum" quantum ~min:1 ~need:"a positive quantum";
+        check_min "requests" requests ~min:1 ~need:"at least one request";
+        check_min_float "gap" gap ~min:0.0
+          ~need:"a finite, non-negative gap";
         check_min "pin-budget" pin_budget ~min:0 ~need:"a non-negative budget";
         Option.iter
           (fun i ->
@@ -867,6 +885,8 @@ let workload_cmd =
          & info [ "scale" ] ~docv:"N" ~doc:"Workload size parameter.")
   in
   let run name scale =
+    with_errors @@ fun () ->
+    check_min "scale" scale ~min:1 ~need:"a positive size";
     let src =
       match name with
       | "listing1" -> W.Listing1.source ~elems:scale ~ntimes:10

@@ -20,7 +20,13 @@
      - guarded heap accesses routed through the runtime's fast path
        ([Runtime.read_i64_fast] & friends): a resident hit costs one
        translation-cache probe, everything else falls back to the
-       canonical slow path.
+       canonical slow path,
+     - float loads, stores, moves and arithmetic on float registers
+       (and float constants) reading and writing the float register
+       file directly: a [frame -> float] reader boxes every float it
+       returns, since nothing here is compiled with flambda,
+     - the per-instruction charge compiled to two in-place adds on
+       record fields bound once at decode time ([tick]), not a call.
 
    Semantics are the reference interpreter's, bit for bit: same trap
    messages raised at the same execution points (never at decode
@@ -37,6 +43,7 @@ module Irmod = Cards_ir.Irmod
 module Runtime = Cards_runtime.Runtime
 module Sink = Cards_obs.Sink
 module Event = Cards_obs.Event
+module Profile = Cards_obs.Profile
 
 open Sem
 
@@ -73,6 +80,18 @@ type dfunc = {
 }
 
 type t = { st : state; table : (string, dfunc) Hashtbl.t }
+
+(* The per-instruction charge: exactly [Runtime.charge], written as two
+   in-place adds on the clock and the profile's compute counter.  Dune's
+   default dev profile compiles every module [-opaque], so a call into
+   [Runtime] is never inlined; this is.  Both records are bound once
+   per decoded instruction ([meter]), and since [tick] adds the same
+   cost to both, compute + ledger = now still holds by construction. *)
+let[@inline] tick (clk : Runtime.clock) (pr : Profile.t) c =
+  clk.cycles <- clk.cycles + c;
+  pr.p_compute <- pr.p_compute + c
+
+let meter st = (Runtime.clock st.rt, Runtime.profile st.rt)
 
 let new_frame df =
   { ints = Array.make df.nregs 0;
@@ -118,13 +137,29 @@ let floaty (fl : bool array) v =
   | Instr.Reg r -> fl.(r)
   | Instr.Imm _ | Instr.Null | Instr.GlobalAddr _ -> false
 
+(* A float operand whose value needs no reader call: a float register,
+   or a constant (folded exactly as [float_rd] converts it).  [Fother]
+   — an integer register, an unknown global — keeps the reader. *)
+type fsrc = Freg of int | Fconst of float | Fother
+
+let fsrc st (fl : bool array) v =
+  match (v : Instr.value) with
+  | Instr.Reg r -> if fl.(r) then Freg r else Fother
+  | Instr.Fimm x -> Fconst x
+  | Instr.Imm i -> Fconst (Int64.to_float i)
+  | Instr.Null -> Fconst 0.0
+  | Instr.GlobalAddr g -> (
+    match Hashtbl.find_opt st.globals g with
+    | Some a -> Fconst (float_of_int a)
+    | None -> Fother)
+
 (* ---------- instruction decoding ---------- *)
 
 (* Integer binops: the hot loop shapes (reg op reg, reg op imm) get
    dedicated closures with no operand indirection at all; everything
    else pays two reader calls plus the resolved operator. *)
 let dec_ibin st r op a b : op =
-  let rt = st.rt in
+  let clk, pr = meter st in
   let c =
     match (op : Instr.binop) with
     | Mul | Div | Rem -> st.cost.mul_div
@@ -132,52 +167,149 @@ let dec_ibin st r op a b : op =
   in
   match (op : Instr.binop), (a : Instr.value), (b : Instr.value) with
   | Add, Reg x, Reg y ->
-    fun fr -> Runtime.charge rt c; fr.ints.(r) <- fr.ints.(x) + fr.ints.(y)
+    fun fr -> tick clk pr c; fr.ints.(r) <- fr.ints.(x) + fr.ints.(y)
   | Add, Reg x, Imm i ->
     let k = Int64.to_int i in
-    fun fr -> Runtime.charge rt c; fr.ints.(r) <- fr.ints.(x) + k
+    fun fr -> tick clk pr c; fr.ints.(r) <- fr.ints.(x) + k
   | Sub, Reg x, Reg y ->
-    fun fr -> Runtime.charge rt c; fr.ints.(r) <- fr.ints.(x) - fr.ints.(y)
+    fun fr -> tick clk pr c; fr.ints.(r) <- fr.ints.(x) - fr.ints.(y)
   | Sub, Reg x, Imm i ->
     let k = Int64.to_int i in
-    fun fr -> Runtime.charge rt c; fr.ints.(r) <- fr.ints.(x) - k
+    fun fr -> tick clk pr c; fr.ints.(r) <- fr.ints.(x) - k
   | Mul, Reg x, Reg y ->
-    fun fr -> Runtime.charge rt c; fr.ints.(r) <- fr.ints.(x) * fr.ints.(y)
+    fun fr -> tick clk pr c; fr.ints.(r) <- fr.ints.(x) * fr.ints.(y)
   | Mul, Reg x, Imm i ->
     let k = Int64.to_int i in
-    fun fr -> Runtime.charge rt c; fr.ints.(r) <- fr.ints.(x) * k
+    fun fr -> tick clk pr c; fr.ints.(r) <- fr.ints.(x) * k
   | And, Reg x, Imm i ->
     let k = Int64.to_int i in
-    fun fr -> Runtime.charge rt c; fr.ints.(r) <- fr.ints.(x) land k
+    fun fr -> tick clk pr c; fr.ints.(r) <- fr.ints.(x) land k
   | _ ->
     let fa = int_rd st a and fb = int_rd st b in
     let opf = ibin_fn op in
-    fun fr -> Runtime.charge rt c; fr.ints.(r) <- opf (fa fr) (fb fr)
+    fun fr -> tick clk pr c; fr.ints.(r) <- opf (fa fr) (fb fr)
 
 let dec_icmp st r cop a b : op =
-  let rt = st.rt in
+  let clk, pr = meter st in
   let c = st.cost.alu in
   match (cop : Instr.cmpop), (a : Instr.value), (b : Instr.value) with
   | Lt, Reg x, Reg y ->
     fun fr ->
-      Runtime.charge rt c;
+      tick clk pr c;
       fr.ints.(r) <- (if fr.ints.(x) < fr.ints.(y) then 1 else 0)
   | Lt, Reg x, Imm i ->
     let k = Int64.to_int i in
     fun fr ->
-      Runtime.charge rt c;
+      tick clk pr c;
       fr.ints.(r) <- (if fr.ints.(x) < k then 1 else 0)
   | Eq, Reg x, Imm i ->
     let k = Int64.to_int i in
     fun fr ->
-      Runtime.charge rt c;
+      tick clk pr c;
       fr.ints.(r) <- (if fr.ints.(x) = k then 1 else 0)
   | _ ->
     let fa = int_rd st a and fb = int_rd st b in
     let opf = icmp_fn cop in
     fun fr ->
-      Runtime.charge rt c;
+      tick clk pr c;
       fr.ints.(r) <- (if opf (fa fr) (fb fr) then 1 else 0)
+
+(* Float binops on float registers and constants compute in place; the
+   operator is spelled out per shape because passing it as a closure
+   would box both operands and the result. *)
+let dec_fbin st fl r op a b : op =
+  let clk, pr = meter st in
+  let c = st.cost.alu in
+  match (op : Instr.binop), fsrc st fl a, fsrc st fl b with
+  | Fadd, Freg x, Freg y ->
+    fun fr -> tick clk pr c; fr.floats.(r) <- fr.floats.(x) +. fr.floats.(y)
+  | Fsub, Freg x, Freg y ->
+    fun fr -> tick clk pr c; fr.floats.(r) <- fr.floats.(x) -. fr.floats.(y)
+  | Fmul, Freg x, Freg y ->
+    fun fr -> tick clk pr c; fr.floats.(r) <- fr.floats.(x) *. fr.floats.(y)
+  | Fdiv, Freg x, Freg y ->
+    fun fr -> tick clk pr c; fr.floats.(r) <- fr.floats.(x) /. fr.floats.(y)
+  | Fadd, Freg x, Fconst k ->
+    fun fr -> tick clk pr c; fr.floats.(r) <- fr.floats.(x) +. k
+  | Fsub, Freg x, Fconst k ->
+    fun fr -> tick clk pr c; fr.floats.(r) <- fr.floats.(x) -. k
+  | Fmul, Freg x, Fconst k ->
+    fun fr -> tick clk pr c; fr.floats.(r) <- fr.floats.(x) *. k
+  | Fdiv, Freg x, Fconst k ->
+    fun fr -> tick clk pr c; fr.floats.(r) <- fr.floats.(x) /. k
+  | Fadd, Fconst k, Freg y ->
+    fun fr -> tick clk pr c; fr.floats.(r) <- k +. fr.floats.(y)
+  | Fsub, Fconst k, Freg y ->
+    fun fr -> tick clk pr c; fr.floats.(r) <- k -. fr.floats.(y)
+  | Fmul, Fconst k, Freg y ->
+    fun fr -> tick clk pr c; fr.floats.(r) <- k *. fr.floats.(y)
+  | Fdiv, Fconst k, Freg y ->
+    fun fr -> tick clk pr c; fr.floats.(r) <- k /. fr.floats.(y)
+  | _ ->
+    let fa = float_rd st fl a and fb = float_rd st fl b in
+    let opf = fbin_fn op in
+    fun fr -> tick clk pr c; fr.floats.(r) <- opf (fa fr) (fb fr)
+
+(* Float compares: a float register against a float register or a
+   constant, in place. *)
+let dec_fcmp st fl r cop a b : op =
+  let clk, pr = meter st in
+  let c = st.cost.alu in
+  match (cop : Instr.cmpop), fsrc st fl a, fsrc st fl b with
+  | Eq, Freg x, Freg y ->
+    fun fr ->
+      tick clk pr c;
+      fr.ints.(r) <- Bool.to_int (fr.floats.(x) = fr.floats.(y))
+  | Ne, Freg x, Freg y ->
+    fun fr ->
+      tick clk pr c;
+      fr.ints.(r) <- Bool.to_int (fr.floats.(x) <> fr.floats.(y))
+  | Lt, Freg x, Freg y ->
+    fun fr ->
+      tick clk pr c;
+      fr.ints.(r) <- Bool.to_int (fr.floats.(x) < fr.floats.(y))
+  | Le, Freg x, Freg y ->
+    fun fr ->
+      tick clk pr c;
+      fr.ints.(r) <- Bool.to_int (fr.floats.(x) <= fr.floats.(y))
+  | Gt, Freg x, Freg y ->
+    fun fr ->
+      tick clk pr c;
+      fr.ints.(r) <- Bool.to_int (fr.floats.(x) > fr.floats.(y))
+  | Ge, Freg x, Freg y ->
+    fun fr ->
+      tick clk pr c;
+      fr.ints.(r) <- Bool.to_int (fr.floats.(x) >= fr.floats.(y))
+  | Eq, Freg x, Fconst k ->
+    fun fr ->
+      tick clk pr c;
+      fr.ints.(r) <- Bool.to_int (fr.floats.(x) = k)
+  | Ne, Freg x, Fconst k ->
+    fun fr ->
+      tick clk pr c;
+      fr.ints.(r) <- Bool.to_int (fr.floats.(x) <> k)
+  | Lt, Freg x, Fconst k ->
+    fun fr ->
+      tick clk pr c;
+      fr.ints.(r) <- Bool.to_int (fr.floats.(x) < k)
+  | Le, Freg x, Fconst k ->
+    fun fr ->
+      tick clk pr c;
+      fr.ints.(r) <- Bool.to_int (fr.floats.(x) <= k)
+  | Gt, Freg x, Fconst k ->
+    fun fr ->
+      tick clk pr c;
+      fr.ints.(r) <- Bool.to_int (fr.floats.(x) > k)
+  | Ge, Freg x, Fconst k ->
+    fun fr ->
+      tick clk pr c;
+      fr.ints.(r) <- Bool.to_int (fr.floats.(x) >= k)
+  | _ ->
+    let fa = float_rd st fl a and fb = float_rd st fl b in
+    let opf = fcmp_fn cop in
+    fun fr ->
+      tick clk pr c;
+      fr.ints.(r) <- Bool.to_int (opf (fa fr) (fb fr))
 
 (* Forward reference: the Call decoder needs to execute a decoded
    function, and execution needs decoded blocks.  Tied below. *)
@@ -185,7 +317,7 @@ let exec_ref : (state -> dfunc -> frame -> int) ref =
   ref (fun _ _ _ -> assert false)
 
 let dec_call st fl (ropt : Instr.reg option) name args table : op =
-  let rt = st.rt in
+  let clk, pr = meter st in
   let c = st.cost.call in
   match name with
   | "print_int" -> (
@@ -193,27 +325,27 @@ let dec_call st fl (ropt : Instr.reg option) name args table : op =
     | a0 :: _ ->
       let rd = int_rd st a0 in
       fun fr ->
-        Runtime.charge rt c;
+        tick clk pr c;
         Buffer.add_string st.out (string_of_int (rd fr));
         Buffer.add_char st.out '\n'
-    | [] -> fun _ -> Runtime.charge rt c; failwith "hd")
+    | [] -> fun _ -> tick clk pr c; failwith "hd")
   | "print_float" -> (
     match args with
     | a0 :: _ ->
       let rd = float_rd st fl a0 in
       fun fr ->
-        Runtime.charge rt c;
+        tick clk pr c;
         Buffer.add_string st.out (Printf.sprintf "%.6g" (rd fr));
         Buffer.add_char st.out '\n'
-    | [] -> fun _ -> Runtime.charge rt c; failwith "hd")
+    | [] -> fun _ -> tick clk pr c; failwith "hd")
   | "clock" -> (
     match ropt with
-    | Some r -> fun fr -> Runtime.charge rt c; fr.ints.(r) <- Runtime.now rt
-    | None -> fun _ -> Runtime.charge rt c)
-  | "abort" -> fun _ -> Runtime.charge rt c; trap "abort() called"
+    | Some r -> fun fr -> tick clk pr c; fr.ints.(r) <- clk.cycles
+    | None -> fun _ -> tick clk pr c)
+  | "abort" -> fun _ -> tick clk pr c; trap "abort() called"
   | _ -> (
     match Hashtbl.find_opt table name with
-    | None -> fun _ -> Runtime.charge rt c; trap "call to unknown function %s" name
+    | None -> fun _ -> tick clk pr c; trap "call to unknown function %s" name
     | Some df when List.length df.params <> List.length args ->
       (* The reference's [List.map2] evaluates argument operands for
          the common prefix before noticing the length mismatch, so an
@@ -232,7 +364,7 @@ let dec_call st fl (ropt : Instr.reg option) name args table : op =
       in
       let evals = Array.of_list (prefix df.params args) in
       fun fr ->
-        Runtime.charge rt c;
+        tick clk pr c;
         Array.iter (fun e -> e fr) evals;
         trap "arity mismatch calling %s" name
     | Some df ->
@@ -244,9 +376,13 @@ let dec_call st fl (ropt : Instr.reg option) name args table : op =
           (List.map2
              (fun (pr, ty) v ->
                match (ty : Types.t) with
-               | Types.F64 ->
-                 let rd = float_rd st fl v in
-                 fun fr cf -> cf.floats.(pr) <- rd fr
+               | Types.F64 -> (
+                 match fsrc st fl v with
+                 | Freg x -> fun fr cf -> cf.floats.(pr) <- fr.floats.(x)
+                 | Fconst k -> fun _ cf -> cf.floats.(pr) <- k
+                 | Fother ->
+                   let rd = float_rd st fl v in
+                   fun fr cf -> cf.floats.(pr) <- rd fr)
                | _ ->
                  let rd = int_rd st v in
                  fun fr cf -> cf.ints.(pr) <- rd fr)
@@ -273,7 +409,7 @@ let dec_call st fl (ropt : Instr.reg option) name args table : op =
       match store_ret with
       | None ->
         fun fr ->
-          Runtime.charge rt c;
+          tick clk pr c;
           let cf = new_frame df in
           for i = 0 to nmovers - 1 do
             movers.(i) fr cf
@@ -281,7 +417,7 @@ let dec_call st fl (ropt : Instr.reg option) name args table : op =
           ignore (!exec_ref st df cf)
       | Some store ->
         fun fr ->
-          Runtime.charge rt c;
+          tick clk pr c;
           let cf = new_frame df in
           for i = 0 to nmovers - 1 do
             movers.(i) fr cf
@@ -291,90 +427,117 @@ let dec_call st fl (ropt : Instr.reg option) name args table : op =
 
 let dec_instr st (f : Func.t) fl table ~bid ~idx (ins : Instr.instr) : op =
   let rt = st.rt in
+  let clk, pr = meter st in
   let fn = f.name in
   (* [Runtime.set_site] is pre-bound only on the opcodes that can enter
      the runtime, mirroring the reference interpreter's stamp match —
      but resolved at decode time instead of per instruction. *)
   match ins with
   | Instr.Bin (r, op, a, b) ->
-    if Instr.is_float_binop op then begin
-      let c = st.cost.alu in
-      let fa = float_rd st fl a and fb = float_rd st fl b in
-      let opf = fbin_fn op in
-      fun fr -> Runtime.charge rt c; fr.floats.(r) <- opf (fa fr) (fb fr)
-    end
+    if Instr.is_float_binop op then dec_fbin st fl r op a b
     else dec_ibin st r op a b
   | Instr.Cmp (r, cop, a, b) ->
-    if floaty fl a || floaty fl b then begin
-      let c = st.cost.alu in
-      let fa = float_rd st fl a and fb = float_rd st fl b in
-      let opf = fcmp_fn cop in
-      fun fr ->
-        Runtime.charge rt c;
-        fr.ints.(r) <- (if opf (fa fr) (fb fr) then 1 else 0)
-    end
+    if floaty fl a || floaty fl b then dec_fcmp st fl r cop a b
     else dec_icmp st r cop a b
   | Instr.Mov (r, v) ->
     let c = st.cost.alu in
     if fl.(r) then begin
-      let rd = float_rd st fl v in
-      fun fr -> Runtime.charge rt c; fr.floats.(r) <- rd fr
+      match fsrc st fl v with
+      | Freg x -> fun fr -> tick clk pr c; fr.floats.(r) <- fr.floats.(x)
+      | Fconst k -> fun fr -> tick clk pr c; fr.floats.(r) <- k
+      | Fother ->
+        let rd = float_rd st fl v in
+        fun fr -> tick clk pr c; fr.floats.(r) <- rd fr
     end
     else begin
       match (v : Instr.value) with
-      | Instr.Reg x -> fun fr -> Runtime.charge rt c; fr.ints.(r) <- fr.ints.(x)
+      | Instr.Reg x -> fun fr -> tick clk pr c; fr.ints.(r) <- fr.ints.(x)
       | Instr.Imm i ->
         let k = Int64.to_int i in
-        fun fr -> Runtime.charge rt c; fr.ints.(r) <- k
+        fun fr -> tick clk pr c; fr.ints.(r) <- k
       | _ ->
         let rd = int_rd st v in
-        fun fr -> Runtime.charge rt c; fr.ints.(r) <- rd fr
+        fun fr -> tick clk pr c; fr.ints.(r) <- rd fr
     end
-  | Instr.I2f (r, v) ->
+  | Instr.I2f (r, v) -> (
     let c = st.cost.alu in
-    let rd = int_rd st v in
-    fun fr -> Runtime.charge rt c; fr.floats.(r) <- float_of_int (rd fr)
-  | Instr.F2i (r, v) ->
+    match (v : Instr.value) with
+    | Instr.Reg x ->
+      fun fr -> tick clk pr c; fr.floats.(r) <- float_of_int fr.ints.(x)
+    | _ ->
+      let rd = int_rd st v in
+      fun fr -> tick clk pr c; fr.floats.(r) <- float_of_int (rd fr))
+  | Instr.F2i (r, v) -> (
     let c = st.cost.alu in
-    let rd = float_rd st fl v in
-    fun fr -> Runtime.charge rt c; fr.ints.(r) <- int_of_float (rd fr)
-  | Instr.Load (r, ty, addr) ->
-    let rd = int_rd st addr in
-    if Types.equal ty Types.F64 then
-      fun fr ->
-        Runtime.set_site rt ~fn ~block:bid ~instr:idx;
-        fr.floats.(r) <- Runtime.read_f64_fast rt (rd fr)
-    else
-      fun fr ->
-        Runtime.set_site rt ~fn ~block:bid ~instr:idx;
-        fr.ints.(r) <- Runtime.read_i64_fast rt (rd fr)
+    match fsrc st fl v with
+    | Freg x ->
+      fun fr -> tick clk pr c; fr.ints.(r) <- int_of_float fr.floats.(x)
+    | _ ->
+      let rd = float_rd st fl v in
+      fun fr -> tick clk pr c; fr.ints.(r) <- int_of_float (rd fr))
+  | Instr.Load (r, ty, addr) -> (
+    let f64 = Types.equal ty Types.F64 in
+    match (addr : Instr.value) with
+    | Instr.Reg x ->
+      if f64 then
+        fun fr ->
+          Runtime.set_site rt ~fn ~block:bid ~instr:idx;
+          Runtime.read_f64_into rt fr.ints.(x) fr.floats r
+      else
+        fun fr ->
+          Runtime.set_site rt ~fn ~block:bid ~instr:idx;
+          fr.ints.(r) <- Runtime.read_i64_fast rt fr.ints.(x)
+    | _ ->
+      let rd = int_rd st addr in
+      if f64 then
+        fun fr ->
+          Runtime.set_site rt ~fn ~block:bid ~instr:idx;
+          Runtime.read_f64_into rt (rd fr) fr.floats r
+      else
+        fun fr ->
+          Runtime.set_site rt ~fn ~block:bid ~instr:idx;
+          fr.ints.(r) <- Runtime.read_i64_fast rt (rd fr))
   | Instr.Store (ty, addr, v) ->
     let ra = int_rd st addr in
     if Types.equal ty Types.F64 then begin
-      let rv = float_rd st fl v in
-      fun fr ->
-        Runtime.set_site rt ~fn ~block:bid ~instr:idx;
-        let a = ra fr in
-        Runtime.write_f64_fast rt a (rv fr)
+      match fsrc st fl v with
+      | Freg x ->
+        fun fr ->
+          Runtime.set_site rt ~fn ~block:bid ~instr:idx;
+          Runtime.write_f64_from rt (ra fr) fr.floats x
+      | _ ->
+        (* Any other operand shape takes the canonical store, which
+           accounts exactly like the fast path. *)
+        let rv = float_rd st fl v in
+        fun fr ->
+          Runtime.set_site rt ~fn ~block:bid ~instr:idx;
+          let a = ra fr in
+          Runtime.write_f64 rt a (rv fr)
     end
     else begin
-      let rv = int_rd st v in
-      fun fr ->
-        Runtime.set_site rt ~fn ~block:bid ~instr:idx;
-        let a = ra fr in
-        Runtime.write_i64_fast rt a (rv fr)
+      match (addr : Instr.value), (v : Instr.value) with
+      | Instr.Reg x, Instr.Reg y ->
+        fun fr ->
+          Runtime.set_site rt ~fn ~block:bid ~instr:idx;
+          Runtime.write_i64_fast rt fr.ints.(x) fr.ints.(y)
+      | _ ->
+        let rv = int_rd st v in
+        fun fr ->
+          Runtime.set_site rt ~fn ~block:bid ~instr:idx;
+          let a = ra fr in
+          Runtime.write_i64_fast rt a (rv fr)
     end
   | Instr.Gep (r, base, idx_v, scale) -> (
     let c = st.cost.alu in
     match (base : Instr.value), (idx_v : Instr.value) with
     | Instr.Reg x, Instr.Reg y ->
       fun fr ->
-        Runtime.charge rt c;
+        tick clk pr c;
         fr.ints.(r) <- fr.ints.(x) + (fr.ints.(y) * scale)
     | _ ->
       let rb = int_rd st base and ri = int_rd st idx_v in
       fun fr ->
-        Runtime.charge rt c;
+        tick clk pr c;
         fr.ints.(r) <- rb fr + (ri fr * scale))
   | Instr.Malloc (r, size) ->
     let rs = int_rd st size in
@@ -384,12 +547,18 @@ let dec_instr st (f : Func.t) fl table ~bid ~idx (ins : Instr.instr) : op =
   | Instr.Free v ->
     let rd = int_rd st v in
     fun fr -> Runtime.free rt (rd fr)
-  | Instr.Guard (k, addr) ->
+  | Instr.Guard (k, addr) -> (
     let write = k = Instr.Gwrite in
-    let rd = int_rd st addr in
-    fun fr ->
-      Runtime.set_site rt ~fn ~block:bid ~instr:idx;
-      Runtime.guard rt ~write (rd fr)
+    match (addr : Instr.value) with
+    | Instr.Reg x ->
+      fun fr ->
+        Runtime.set_site rt ~fn ~block:bid ~instr:idx;
+        Runtime.guard rt ~write fr.ints.(x)
+    | _ ->
+      let rd = int_rd st addr in
+      fun fr ->
+        Runtime.set_site rt ~fn ~block:bid ~instr:idx;
+        Runtime.guard rt ~write (rd fr))
   | Instr.DsInit (r, sid) ->
     fun fr ->
       Runtime.set_site rt ~fn ~block:bid ~instr:idx;
@@ -409,33 +578,35 @@ let dec_instr st (f : Func.t) fl table ~bid ~idx (ins : Instr.instr) : op =
       fr.ints.(r) <- (if Runtime.loop_check rt (build 0) then 1 else 0)
   | Instr.Prefetch _ ->
     let c = st.cost.alu in
-    fun _ -> Runtime.charge rt c
+    fun _ -> tick clk pr c
   | Instr.Call (ropt, name, args) -> dec_call st fl ropt name args table
 
 let dec_term st (f : Func.t) fl ~bid (term : Instr.term) : frame -> int =
-  let rt = st.rt in
+  let clk, pr = meter st in
   match term with
   | Instr.Br target ->
     let c = st.cost.branch in
-    fun _ -> Runtime.charge rt c; target
+    fun _ -> tick clk pr c; target
   | Instr.Cbr (v, bt, bf) ->
     let c = st.cost.branch in
     if floaty fl v then begin
-      let rd = float_rd st fl v in
-      fun fr ->
-        Runtime.charge rt c;
-        if rd fr <> 0.0 then bt else bf
+      match fsrc st fl v with
+      | Freg x ->
+        fun fr -> tick clk pr c; if fr.floats.(x) <> 0.0 then bt else bf
+      | _ ->
+        let rd = float_rd st fl v in
+        fun fr -> tick clk pr c; if rd fr <> 0.0 then bt else bf
     end
     else begin
       match (v : Instr.value) with
       | Instr.Reg r ->
         fun fr ->
-          Runtime.charge rt c;
+          tick clk pr c;
           if fr.ints.(r) <> 0 then bt else bf
       | _ ->
         let rd = int_rd st v in
         fun fr ->
-          Runtime.charge rt c;
+          tick clk pr c;
           if rd fr <> 0 then bt else bf
     end
   | Instr.Ret None -> fun fr -> fr.ret_i <- 0; ret_int

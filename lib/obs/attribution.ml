@@ -61,29 +61,51 @@ type cell = {
   mutable cl_book : int;
 }
 
+(* The ledger's hot path is a direct-mapped cache of cells in front of
+   the table.  A run charges one key per access site and structure,
+   but consecutive charges rarely share one — a loop body alternates
+   between its access sites — so a one-entry memo would miss on almost
+   every charge, and a table probe builds a site record and a key
+   tuple and hashes a string.  A cache hit is three int compares and a
+   physical compare of the function name (the interpreter passes the
+   same string for every charge from one function), with no
+   allocation.  A miss, or an equal name in another string, falls
+   through to [cells], which stays the store every fold reads. *)
+let cache_slots = 1024
+
 type t = {
   cells : (int * site, cell) Hashtbl.t;
-  (* One-entry memo: consecutive charges overwhelmingly come from the
-     same (ds, site) — a guard looping over one access site — so the
-     hot path is three int compares and a pointer compare, not a
-     hashtable probe. *)
-  mutable last : cell option;
+  cache : cell array;   (* [cache_slots] slots, see [slot] *)
   mutable qp_max : int; (* highest QP index ever charged, -1 if none *)
 }
-
-let create () = { cells = Hashtbl.create 64; last = None; qp_max = -1 }
 
 let make_cell ds site =
   { cl_ds = ds; cl_site = site; cl_proto = 0; cl_wire = 0;
     cl_queue = [||]; cl_pf_wait = 0; cl_retry = 0; cl_guard = 0;
     cl_trap = 0; cl_book = 0 }
 
+(* Fills every empty cache slot.  Its function name is a private
+   string no caller can pass, so it never hits. *)
+let no_cell =
+  make_cell (-1) { unknown_site with s_fn = Bytes.to_string (Bytes.make 1 '-') }
+
+let create () =
+  { cells = Hashtbl.create 64; cache = Array.make cache_slots no_cell;
+    qp_max = -1 }
+
+(* Structure handles, block ids and instruction indices are small dense
+   integers; odd multipliers spread them over the slots. *)
+let slot ~ds ~block ~instr =
+  ((ds * 0x9E3779B1) + (block * 0x85EBCA77) + instr) land (cache_slots - 1)
+
 let cell t ~ds ~fn ~block ~instr =
-  match t.last with
-  | Some c
-    when c.cl_ds = ds && c.cl_site.s_block = block
-         && c.cl_site.s_instr = instr && c.cl_site.s_fn == fn -> c
-  | _ ->
+  let i = slot ~ds ~block ~instr in
+  let c = t.cache.(i) in
+  if
+    c.cl_ds = ds && c.cl_site.s_block = block && c.cl_site.s_instr = instr
+    && c.cl_site.s_fn == fn
+  then c
+  else begin
     let site = { s_fn = fn; s_block = block; s_instr = instr } in
     let key = (ds, site) in
     let c =
@@ -94,8 +116,9 @@ let cell t ~ds ~fn ~block ~instr =
         Hashtbl.replace t.cells key c;
         c
     in
-    t.last <- Some c;
+    t.cache.(i) <- c;
     c
+  end
 
 let grow_queue c qp =
   let n = Array.length c.cl_queue in

@@ -63,8 +63,11 @@ val create : unit -> t
 val charge :
   t -> ds:int -> fn:string -> block:int -> instr:int -> cause -> int -> unit
 (** Charge [cycles] to one cause at one (structure, site) key.  The
-    site is passed as components so the hot path does not allocate; a
-    one-entry memo makes consecutive same-site charges O(1). *)
+    site is passed as components, and a direct-mapped cache of ledger
+    cells keyed by them (the function name compared physically)
+    answers repeat charges without allocating or hashing, in whatever
+    order sites interleave; only a key's first charge, or one evicted
+    from its cache slot, probes the table. *)
 
 val total : t -> int
 (** Σ over every key and cause; for a runtime's ledger it equals

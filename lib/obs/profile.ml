@@ -5,8 +5,10 @@ type buckets = {
   lat : Stats.t;
 }
 
+type per = (int, buckets) Hashtbl.t
+
 type t = {
-  per : (int, buckets) Hashtbl.t;
+  per : per;
   mutable p_compute : int;
 }
 
@@ -19,8 +21,6 @@ let buckets t h =
     let b = { p_hidden = 0; lat = Stats.create () } in
     Hashtbl.replace t.per h b;
     b
-
-let add_compute t c = t.p_compute <- t.p_compute + c
 
 let compute t = t.p_compute
 

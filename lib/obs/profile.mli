@@ -25,15 +25,22 @@ type buckets = {
   lat : Cards_util.Stats.t;  (** fetch-latency distribution *)
 }
 
-type t
+type per
+(** The per-structure records, keyed by handle. *)
+
+type t = {
+  per : per;
+  mutable p_compute : int;
+      (** compute cycles; {!compute} reads it.  Exposed so the
+          interpreters' per-instruction charge is an in-place add:
+          under dune's default dev profile every module is compiled
+          [-opaque], so a call into this module is never inlined. *)
+}
 
 val create : unit -> t
 
 val buckets : t -> int -> buckets
 (** Per-structure record for a handle, auto-created. *)
-
-val add_compute : t -> int -> unit
-(** Charge interpreter/compute cycles. *)
 
 val compute : t -> int
 

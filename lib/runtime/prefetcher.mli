@@ -3,14 +3,15 @@
     prefetcher, and a jump-pointer prefetcher.
 
     A prefetcher observes the object-index stream of one data structure
-    and returns the objects to fetch ahead.  Greedy and jump-pointer
+    and appends the objects to fetch ahead to a {!targets} buffer the
+    runtime owns, as (handle, object) pairs.  Greedy and jump-pointer
     prefetchers may target other structures (a node can point into a
-    different pool), so targets carry a handle.
+    different pool), so every target carries a handle.
 
     - {e Stride}: keeps a small window of recent index deltas; when a
       majority agree it locks that stride and fetches [depth] objects
-      ahead.  At unit stride it emits {e contiguous runs}: the ahead
-      window is topped up in ~[depth]-object chunks, so a batching
+      ahead.  At unit stride it tops the ahead window up in
+      ~[depth]-object chunks of consecutive objects, so a batching
       fabric can carry a whole chunk in one request instead of paying
       the protocol cost per object.
     - {e Greedy recursive}: when an object is (re)fetched, scans its
@@ -18,12 +19,31 @@
       level of fan-out, good for trees.
     - {e Jump pointer}: remembers, per object, the object the traversal
       visited [jump] steps later, and fetches through that table —
-      effective for linear chains from the second traversal on. *)
+      effective for linear chains from the second traversal on.  The
+      window is appended farthest object first. *)
 
-type target = { t_ds : int; t_obj : int; t_len : int }
-(** [t_ds = 0] means "this structure".  A target names the contiguous
-    ascending run of [t_len] objects starting at [t_obj] ([t_len = 1]
-    for a single object); runs never span structures. *)
+type targets = {
+  mutable buf : int array;
+      (** pair [i] is handle [buf.(2i)] (0 means "this structure") and
+          object [buf.(2i+1)] *)
+  mutable n : int;  (** live pairs: [0, n) *)
+}
+(** A growable buffer of prefetch targets.  It allocates only when it
+    grows, so the runtime keeps one and reuses it on every access; the
+    record is exposed so the runtime reads and filters it in place. *)
+
+val targets : unit -> targets
+(** An empty buffer. *)
+
+val push : targets -> int -> int -> unit
+(** [push b handle obj] appends one target. *)
+
+val sort_uniq : targets -> unit
+(** Sort the live pairs by (handle, object) and drop repeats, in place:
+    the result equals [List.sort_uniq compare] on the pairs. *)
+
+val to_list : targets -> (int * int) list
+(** The live pairs in buffer order (for tests and diagnostics). *)
 
 type t
 
@@ -35,11 +55,13 @@ val of_class : Static_info.prefetch_class -> depth:int -> t option
 (** The paper's class→prefetcher mapping; [No_prefetch] gives [None]. *)
 
 val on_access :
-  t -> obj:int -> missed:bool -> scan:(unit -> target list) -> target list
-(** Feed one access; [scan] lazily reads the object's pointer slots
-    (only called by the greedy prefetcher, and only on misses).
-    Returns prefetch candidates (possibly already resident — the
-    runtime filters). *)
+  t -> targets -> obj:int -> missed:bool -> scan:(targets -> int -> unit) ->
+  unit
+(** Feed one access to object [obj] (an index, [>= 0]) and append its
+    prefetch candidates (possibly already resident — the runtime
+    filters) to the buffer, in emission order.  [scan b o] appends the
+    pointer targets stored in object [o]; only the greedy prefetcher
+    calls it, and only on misses. *)
 
 val kind_name : t -> string
 
@@ -47,6 +69,5 @@ val calls : t -> int
 (** Accesses observed (observability counter). *)
 
 val targets_emitted : t -> int
-(** Prefetch candidate {e objects} returned over the prefetcher's
-    lifetime (runs count their length) — before the runtime's
-    residency/window filtering. *)
+(** Prefetch candidate objects appended over the prefetcher's
+    lifetime — before the runtime's residency/window filtering. *)

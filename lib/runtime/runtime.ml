@@ -133,6 +133,10 @@ type ds = {
   mutable objs : int array;       (* state flags per object *)
   mutable arrivals : int array;   (* completion time while in flight *)
   mutable pf : Prefetcher.t option;
+  pf_scan : Prefetcher.targets -> int -> unit;
+      (* the greedy prefetcher's pointer scan of one object, built once *)
+  pf_room : bool;
+      (* the remotable cache can hold this structure's prefetch window *)
   (* Adaptive prefetch selection (§4.2: "standard prefetching metrics,
      such as accuracy and coverage, are used to evaluate the
      effectiveness of each prefetching policy"): per-epoch counters and
@@ -151,25 +155,64 @@ type ds = {
   prof : Profile.buckets;         (* fetch latencies + pf-hidden estimate *)
 }
 
+(* A FIFO of (handle, object) pairs: two int arrays whose length is a
+   power of two, doubled when full. *)
+type ring = {
+  mutable rh : int array;
+  mutable ro : int array;
+  mutable head : int;
+  mutable len : int;
+}
+
+let ring_push q h o =
+  let cap = Array.length q.rh in
+  if q.len = cap then begin
+    let rh = Array.make (2 * cap) 0 and ro = Array.make (2 * cap) 0 in
+    for i = 0 to cap - 1 do
+      let j = (q.head + i) land (cap - 1) in
+      rh.(i) <- q.rh.(j);
+      ro.(i) <- q.ro.(j)
+    done;
+    q.rh <- rh;
+    q.ro <- ro;
+    q.head <- 0
+  end;
+  let j = (q.head + q.len) land (Array.length q.rh - 1) in
+  q.rh.(j) <- h;
+  q.ro.(j) <- o;
+  q.len <- q.len + 1
+
+(* Drop the oldest entry and return its slot, which stays readable
+   until the next push. *)
+let ring_pop q =
+  let j = q.head in
+  q.head <- (j + 1) land (Array.length q.rh - 1);
+  q.len <- q.len - 1;
+  j
+
+type clock = { mutable cycles : int }
+
 type t = {
   cfg : config;
   pinned_budget : int;
-  mutable clock : int;
+  clock : clock;
   fabric : Fabric.t;
   infos : Static_info.t array;
   pref : bool array;              (* per sid: pinned preference *)
   dss : ds Vec.t;                 (* handle h lives at index h-1 *)
   tc : ds option array;           (* direct-mapped handle -> ds translation
-                                     cache for the guarded-access fast path.
-                                     Never invalidated: handles are stable
-                                     and structure records are never
-                                     replaced, so an entry can only be
-                                     missing, not stale. *)
+                                     cache behind [get_ds], the guard and
+                                     the access fast path.  Never
+                                     invalidated: handles are stable and
+                                     structure records are never replaced,
+                                     so an entry can only be missing, not
+                                     stale. *)
   mutable unmanaged_data : Bytes.t;
   mutable unmanaged_used : int;
   mutable pinned_used : int;
   mutable remotable_used : int;
-  clockq : (int * int) Queue.t;   (* CLOCK over remotable residents *)
+  clockq : ring;                  (* CLOCK over remotable residents *)
+  pf_targets : Prefetcher.targets; (* one prefetcher call's candidates *)
   (* Graceful degradation: a sliding window of recent transfer
      outcomes (1 byte each: did the attempt fault?).  When the
      observed fault rate over the window crosses the degrade
@@ -185,7 +228,10 @@ type t = {
   mutable degrade : int;          (* 0 = full prefetch width *)
   mutable degrade_cooldown : int; (* outcomes to wait between steps *)
   stats : Rt_stats.t;
+  unmanaged_st : Rt_stats.ds;     (* the stats bucket of handle 0 *)
   obs : Sink.t;
+  tracing : bool;                 (* [Sink.tracing obs], fixed at create *)
+  sampling : bool;                (* [Sink.sampling obs], fixed at create *)
   prof : Profile.t;
   attr : Attribution.t;
   (* Current access site (function, block, instruction), stamped by the
@@ -244,9 +290,10 @@ let create ?(obs = Sink.null) cfg infos =
     (fun (n, s) -> check_scale ("ds_cost_scales." ^ n) s)
     cfg.ds_cost_scales;
   let fabric = Fabric.create cfg.fabric_config in
+  let stats = Rt_stats.create () in
   { cfg;
     pinned_budget = cfg.local_bytes - cfg.remotable_bytes;
-    clock = 0;
+    clock = { cycles = 0 };
     fabric;
     infos;
     pref = Policy.pinned_preference cfg.policy ~infos ~k:cfg.k;
@@ -256,7 +303,9 @@ let create ?(obs = Sink.null) cfg infos =
     unmanaged_used = 0;
     pinned_used = 0;
     remotable_used = 0;
-    clockq = Queue.create ();
+    clockq =
+      { rh = Array.make 256 0; ro = Array.make 256 0; head = 0; len = 0 };
+    pf_targets = Prefetcher.targets ();
     fault_accounting = Fabric.faults_configured fabric;
     fw = Bytes.make fault_window '\000';
     fw_len = 0;
@@ -264,8 +313,11 @@ let create ?(obs = Sink.null) cfg infos =
     fw_faults = 0;
     degrade = 0;
     degrade_cooldown = 0;
-    stats = Rt_stats.create ();
+    stats;
+    unmanaged_st = Rt_stats.unmanaged_bucket stats;
     obs;
+    tracing = Sink.tracing obs;
+    sampling = Sink.sampling obs;
     prof = Profile.create ();
     attr = Attribution.create ();
     site_fn = Attribution.unknown_site.Attribution.s_fn;
@@ -274,33 +326,53 @@ let create ?(obs = Sink.null) cfg infos =
     spans = Sink.spans obs;
     cur_span = -1 }
 
-let now t = t.clock
+let now t = t.clock.cycles
+let clock t = t.clock
 
 (* [charge] and [stall] are the only writers of the clock.  [charge] is
    the interpreter's entry point and feeds the profile's compute
    counter; [stall] is every runtime cost: it advances the clock and
    charges the same cycles to one root cause in the ledger, keyed by
    structure and the current access site.  So
-   [Profile.compute t.prof + Attribution.total t.attr = t.clock] holds
-   by construction.  Neither counter feeds back into the clock, so
-   observed and unobserved runs are cycle-identical. *)
+   [Profile.compute t.prof + Attribution.total t.attr = now t] holds by
+   construction.  Neither counter feeds back into the clock, so
+   observed and unobserved runs are cycle-identical.  [charge] writes
+   both fields in place rather than calling into [Profile]: the
+   decoded engine repeats these two adds inline on every instruction
+   (see decode.ml), and the fast path below charges every access. *)
 let charge t c =
-  t.clock <- t.clock + c;
-  Profile.add_compute t.prof c
+  t.clock.cycles <- t.clock.cycles + c;
+  t.prof.Profile.p_compute <- t.prof.Profile.p_compute + c
 
 let stall t ~ds cause c =
-  t.clock <- t.clock + c;
+  t.clock.cycles <- t.clock.cycles + c;
   Attribution.charge t.attr ~ds ~fn:t.site_fn ~block:t.site_block
     ~instr:t.site_instr cause c
 
 let set_site t ~fn ~block ~instr =
-  t.site_fn <- fn;
+  if t.site_fn != fn then t.site_fn <- fn;
   t.site_block <- block;
   t.site_instr <- instr
 
+(* The structure behind a handle through the translation cache; [None]
+   for handle 0 and handles never issued.  A hit returns the option
+   stored in the slot, so it allocates nothing. *)
+let tc_find t h =
+  let slot = h land tc_mask in
+  match t.tc.(slot) with
+  | Some d as hit when d.handle = h -> hit
+  | _ ->
+    if h >= 1 && h <= Vec.length t.dss then begin
+      let hit = Some (Vec.get t.dss (h - 1)) in
+      t.tc.(slot) <- hit;
+      hit
+    end
+    else None
+
 let get_ds t handle =
-  if handle < 1 || handle > Vec.length t.dss then fail "bad handle %d" handle;
-  Vec.get t.dss (handle - 1)
+  match tc_find t handle with
+  | Some d -> d
+  | None -> fail "bad handle %d" handle
 
 let namespace t = t.cfg.namespace
 
@@ -342,7 +414,7 @@ let pf_name (d : ds) =
   match d.pf with Some p -> Prefetcher.kind_name p | None -> "off"
 
 let sample_all t m =
-  let cycle = t.clock in
+  let cycle = t.clock.cycles in
   Vec.iteri
     (fun _ (d : ds) ->
       Metrics.record m
@@ -365,7 +437,7 @@ let sample_all t m =
   Metrics.catch_up m ~now:cycle
 
 let maybe_sample t =
-  if Sink.sampling t.obs && Sink.metrics_due t.obs ~now:t.clock then
+  if t.sampling && Sink.metrics_due t.obs ~now:t.clock.cycles then
     match Sink.metrics t.obs with
     | Some m -> sample_all t m
     | None -> ()
@@ -376,22 +448,24 @@ let obj_size (d : ds) = 1 lsl d.obj_shift
 
 let evict_until_fits t =
   let budget = t.cfg.remotable_bytes in
-  let spins = ref (2 * Queue.length t.clockq + 2) in
+  let q = t.clockq in
+  let spins = ref (2 * q.len + 2) in
   (* Eviction bursts coalesce their dirty writebacks into one posted
      request when batching is on; the per-object count/bytes accumulate
      here and hit the fabric once after the scan. *)
   let wb_count = ref 0 in
   let wb_bytes = ref 0 in
-  while t.remotable_used > budget && !spins > 0 && not (Queue.is_empty t.clockq) do
+  while t.remotable_used > budget && !spins > 0 && q.len > 0 do
     decr spins;
-    let h, o = Queue.pop t.clockq in
+    let j = ring_pop q in
+    let h = q.rh.(j) and o = q.ro.(j) in
     let d = get_ds t h in
     let st = if o < Array.length d.objs then d.objs.(o) else 0 in
     let st =
       (* A transfer that already landed is no longer in flight, even if
          nothing touched the object since; otherwise stale prefetches
          would clog the ring as unevictable residents. *)
-      if st land b_inflight <> 0 && d.arrivals.(o) <= t.clock then begin
+      if st land b_inflight <> 0 && d.arrivals.(o) <= t.clock.cycles then begin
         d.objs.(o) <- st land lnot b_inflight;
         d.objs.(o)
       end
@@ -401,10 +475,10 @@ let evict_until_fits t =
       () (* stale entry *)
     else if st land b_inflight <> 0 then
       (* never evict data still on the wire; give it a second chance *)
-      Queue.push (h, o) t.clockq
+      ring_push q h o
     else if st land b_ref <> 0 then begin
       d.objs.(o) <- st land lnot b_ref;
-      Queue.push (h, o) t.clockq
+      ring_push q h o
     end
     else begin
       (* evict *)
@@ -414,23 +488,23 @@ let evict_until_fits t =
           incr wb_count;
           wb_bytes := !wb_bytes + obj_size d
         end
-        else Fabric.writeback t.fabric ~now:t.clock ~bytes:(obj_size d);
-        if Sink.tracing t.obs then
+        else Fabric.writeback t.fabric ~now:t.clock.cycles ~bytes:(obj_size d);
+        if t.tracing then
           Sink.emit t.obs
-            (Event.make ~cycle:t.clock ~ds:h ~obj:o
+            (Event.make ~cycle:t.clock.cycles ~ds:h ~obj:o
                (Event.Writeback { bytes = obj_size d }))
       end;
       d.objs.(o) <- 0;
       t.remotable_used <- t.remotable_used - obj_size d;
       d.resident_bytes <- d.resident_bytes - obj_size d;
       d.st.evictions <- d.st.evictions + 1;
-      if Sink.tracing t.obs then
+      if t.tracing then
         Sink.emit t.obs
-          (Event.make ~cycle:t.clock ~ds:h ~obj:o (Event.Evict { dirty }))
+          (Event.make ~cycle:t.clock.cycles ~ds:h ~obj:o (Event.Evict { dirty }))
     end
   done;
   if !wb_count > 0 then
-    Fabric.writeback_many t.fabric ~now:t.clock ~count:!wb_count
+    Fabric.writeback_many t.fabric ~now:t.clock.cycles ~count:!wb_count
       ~bytes:!wb_bytes;
   (* With everything left in the ring on the wire (or the spin bound
      exhausted) the cache can stay transiently above budget; count it
@@ -442,7 +516,7 @@ let clock_insert t (d : ds) o =
     (* New arrivals enter referenced, or the eviction scan triggered by
        their own insertion would reclaim them before first use. *)
     d.objs.(o) <- d.objs.(o) lor b_inclock lor b_ref;
-    Queue.push (d.handle, o) t.clockq;
+    ring_push t.clockq d.handle o;
     t.remotable_used <- t.remotable_used + obj_size d;
     d.resident_bytes <- d.resident_bytes + obj_size d;
     evict_until_fits t
@@ -490,6 +564,26 @@ let info_prefetch_depth t (info : Static_info.t) =
   | None -> t.cfg.prefetch_depth
   | Some budget -> max 1 (min 64 (budget / info.Static_info.obj_size))
 
+(* The greedy prefetcher's candidates in object [o] of [d]: every
+   tagged pointer stored in it whose target lies inside its structure's
+   pool, appended in slot order. *)
+let scan_object_pointers t (d : ds) b o =
+  let base = o lsl d.obj_shift in
+  let stop = min (base + obj_size d) d.pool_used in
+  let w = ref base in
+  while !w + 8 <= stop do
+    let v = Int64.to_int (Bytes.get_int64_le d.data !w) in
+    if v > 0 && Addr.is_managed v then begin
+      match tc_find t (Addr.ds_of v) with
+      | Some td ->
+        let off = Addr.offset_of v in
+        if off < td.pool_used then
+          Prefetcher.push b td.handle (off lsr td.obj_shift)
+      | None -> ()
+    end;
+    w := !w + 8
+  done
+
 let ds_init t ~sid =
   if sid < 0 || sid >= Array.length t.infos then fail "ds_init: bad sid %d" sid;
   let info = t.infos.(sid) in
@@ -513,20 +607,27 @@ let ds_init t ~sid =
       in
       (Prefetcher.of_class (List.hd order) ~depth, order)
   in
-  let d =
-    { handle; info; obj_shift = log2_exact info.obj_size;
-      pinned = t.pref.(sid); pinned_bytes = 0; resident_bytes = 0;
+  let scale =
+    match List.assoc_opt info.name t.cfg.ds_cost_scales with
+    | Some s -> s
+    | None -> t.cfg.cost_scale
+  in
+  (* Throttle: prefetching into a cache that cannot hold the prefetch
+     window alongside the working objects only evicts what the demand
+     stream is about to use. *)
+  let obj_shift = log2_exact info.obj_size in
+  let pf_room = t.cfg.remotable_bytes / (1 lsl obj_shift) >= 2 * (depth + 1) in
+  let st = Rt_stats.ds_stats t.stats handle in
+  let prof = Profile.buckets t.prof handle in
+  let rec d =
+    { handle; info; obj_shift; pinned = t.pref.(sid);
+      pinned_bytes = 0; resident_bytes = 0;
       data = Bytes.create 0; pool_used = 0; objs = [||]; arrivals = [||];
-      pf; pf_candidates = (match order with [] -> [] | _ :: rest -> rest);
+      pf; pf_scan = (fun b o -> scan_object_pointers t d b o); pf_room;
+      pf_candidates = (match order with [] -> [] | _ :: rest -> rest);
       pf_order = order; pf_cooldown = 0;
       epoch_accesses = 0; epoch_issued = 0; epoch_used = 0; epoch_faults = 0;
-      pf_switches = 0;
-      scale =
-        (match List.assoc_opt info.name t.cfg.ds_cost_scales with
-         | Some s -> s
-         | None -> t.cfg.cost_scale);
-      st = Rt_stats.ds_stats t.stats handle;
-      prof = Profile.buckets t.prof handle }
+      pf_switches = 0; scale; st; prof }
   in
   ignore (Vec.push t.dss d);
   handle
@@ -581,61 +682,19 @@ let free t addr = ignore t; ignore addr (* pool-based lifetime *)
 
 (* ---------- prefetch issue ---------- *)
 
-let scan_object_pointers t (d : ds) o =
-  let osz = obj_size d in
-  let base = o lsl d.obj_shift in
-  let stop = min (base + osz) d.pool_used in
-  let acc = ref [] in
-  let w = ref base in
-  while !w + 8 <= stop do
-    let v = Int64.to_int (Bytes.get_int64_le d.data !w) in
-    if v > 0 && Addr.is_managed v then begin
-      let h = Addr.ds_of v in
-      if h >= 1 && h <= Vec.length t.dss then begin
-        let td = Vec.get t.dss (h - 1) in
-        let off = Addr.offset_of v in
-        if off < td.pool_used then
-          acc :=
-            { Prefetcher.t_ds = h; t_obj = off lsr td.obj_shift; t_len = 1 }
-            :: !acc
-      end
-    end;
-    w := !w + 8
-  done;
-  List.rev !acc
-
-(* Runs are a prefetcher-side compression; the runtime filters and
-   marks per object, so expand them before viability checks. *)
-let expand_targets targets =
-  List.concat_map
-    (fun (tg : Prefetcher.target) ->
-      if tg.Prefetcher.t_len <= 1 then [ tg ]
-      else
-        List.init tg.Prefetcher.t_len (fun i ->
-            { tg with Prefetcher.t_obj = tg.Prefetcher.t_obj + i; t_len = 1 }))
-    targets
-
-(* Would this target actually go on the wire?  Returns its structure
-   and object when yes.  The flag array is grown *before* it is read:
+(* Would target (h, o) of [d]'s prefetcher actually go on the wire?
+   Returns its structure's handle when yes ([h = 0] names [d] itself)
+   and 0 when no.  The flag array is grown *before* it is read:
    jump/greedy prefetchers can emit indices beyond the grown portion of
    a target structure's arrays. *)
-let prefetch_viable t (tg : Prefetcher.target) (d : ds) =
-  let td = if tg.Prefetcher.t_ds = 0 then d else get_ds t tg.Prefetcher.t_ds in
-  let o = tg.Prefetcher.t_obj in
-  (* Throttle: prefetching into a cache that cannot hold the prefetch
-     window alongside the working objects only evicts what the demand
-     stream is about to use. *)
-  let window_fits =
-    t.cfg.remotable_bytes / obj_size td
-    >= 2 * (info_prefetch_depth t td.info + 1)
-  in
-  if window_fits && (not td.pinned) && o >= 0 && o lsl td.obj_shift < td.pool_used
+let prefetch_viable t (d : ds) h o =
+  let td = if h = 0 then d else get_ds t h in
+  if td.pf_room && (not td.pinned) && o >= 0 && o lsl td.obj_shift < td.pool_used
   then begin
     grow_objs td (o + 1);
-    if td.objs.(o) land (b_resident lor b_inflight) = 0 then Some (td, o)
-    else None
+    if td.objs.(o) land (b_resident lor b_inflight) = 0 then td.handle else 0
   end
-  else None
+  else 0
 
 (* [span] is the in-flight object's prefetch span (-1 when the issue
    occasion was unsampled): the eventual settle or timely hit will
@@ -650,16 +709,16 @@ let mark_prefetched t (d : ds) ~origin_obj (td : ds) o ~completion ~span =
      data is usable immediately, so settles never wait.  Prefetcher
      decisions are access-pattern-driven, so the fetch sequence — and
      therefore the program output — is unchanged. *)
-  let completion = if t.cfg.pf_instant then t.clock else completion in
+  let completion = if t.cfg.pf_instant then t.clock.cycles else completion in
   td.objs.(o) <- td.objs.(o) lor b_inflight lor b_prefetched lor b_resident;
   td.arrivals.(o) <- completion;
   td.st.prefetch_issued <- td.st.prefetch_issued + 1;
   (* Adaptation is judged at the *originating* structure — its
      prefetcher made the call, even for cross-structure targets. *)
   d.epoch_issued <- d.epoch_issued + 1;
-  if Sink.tracing t.obs then
+  if t.tracing then
     Sink.emit t.obs
-      (Event.make ~cycle:t.clock ~ds:td.handle ~obj:o
+      (Event.make ~cycle:t.clock.cycles ~ds:td.handle ~obj:o
          (Event.Prefetch_issue
             { origin_ds = d.handle; origin_obj }));
   clock_insert t td o
@@ -669,7 +728,7 @@ let mark_prefetched t (d : ds) ~origin_obj (td : ds) o ~completion ~span =
    held the link (protocol + serialization; queueing is the gap before
    [t_start]).  [ds] is the structure whose access put it on the wire. *)
 let emit_qp_busy t ~ds ~obj (tr : Fabric.transfer) =
-  if Sink.tracing t.obs then
+  if t.tracing then
     Sink.emit t.obs
       (Event.make ~cycle:tr.Fabric.t_start ~ds ~obj
          (Event.Qp_busy
@@ -698,9 +757,9 @@ let note_fault_outcome t faulted =
         t.degrade <- t.degrade + delta;
         t.degrade_cooldown <- degrade_cooldown_len;
         note t.stats;
-        if Sink.tracing t.obs then
+        if t.tracing then
           Sink.emit t.obs
-            (Event.make ~cycle:t.clock ~ds:0 ~obj:0
+            (Event.make ~cycle:t.clock.cycles ~ds:0 ~obj:0
                (Event.Degrade
                   { level = t.degrade;
                     observed_pct = 100 * t.fw_faults / t.fw_len }))
@@ -719,9 +778,9 @@ let note_attempt t ~ds ~obj = function
   | None -> note_fault_outcome t false
   | Some kind ->
     note_fault_outcome t true;
-    if Sink.tracing t.obs then
+    if t.tracing then
       Sink.emit t.obs
-        (Event.make ~cycle:t.clock ~ds ~obj
+        (Event.make ~cycle:t.clock.cycles ~ds ~obj
            (Event.Fault_inject { kind = Fabric.fault_kind_name kind }))
 
 (* Effective prefetch fan-out after degradation: each step halves the
@@ -743,7 +802,7 @@ let prefetch_span t (td : ds) o (tr : Fabric.transfer) =
     Span.add c
       (mk_span t ~id ~kind:Span.Prefetch ~parent:t.cur_span
          ?edge:(if t.cur_span >= 0 then Some Span.E_trigger else None)
-         ~ds:td.handle ~obj:o ~issued:t.clock ~start:tr.Fabric.t_start
+         ~ds:td.handle ~obj:o ~issued:t.clock.cycles ~start:tr.Fabric.t_start
          ~complete:tr.Fabric.t_complete ~queued:tr.Fabric.t_queued
          ~proto:tr.Fabric.t_proto ~wire:tr.Fabric.t_ser ~qp:tr.Fabric.t_qp
          ~bytes:(obj_size td)
@@ -751,58 +810,78 @@ let prefetch_span t (td : ds) o (tr : Fabric.transfer) =
     id
   | _ -> -1
 
-(* Prefetch issue: everything one prefetcher call produced — expanded
-   runs and cross-structure fanout alike — goes to the fabric as a
-   single request.  Targets are sorted by (structure, object) so
+(* A single-object prefetch: a batch of one, and every target in
+   unbatched mode. *)
+let issue_one t (d : ds) ~origin_obj (td : ds) o =
+  match
+    Fabric.fetch_attempt t.fabric ~scale:td.scale ~now:t.clock.cycles
+      ~bytes:(obj_size td)
+  with
+  | Error _ ->
+    Rt_stats.note_pf_failed t.stats;
+    note_attempt t ~ds:td.handle ~obj:o (Some Fabric.Transient)
+  | Ok tr ->
+    td.st.fetched_bytes <- td.st.fetched_bytes + obj_size td;
+    note_attempt t ~ds:td.handle ~obj:o tr.Fabric.t_fault;
+    emit_qp_busy t ~ds:d.handle ~obj:origin_obj tr;
+    let span = prefetch_span t td o tr in
+    mark_prefetched t d ~origin_obj td o ~completion:tr.Fabric.t_complete
+      ~span
+
+(* Prefetch issue: everything one prefetcher call produced — unit-stride
+   windows and cross-structure fanout alike — goes to the fabric as a
+   single request.  In place in [t.pf_targets], targets are filtered
+   for viability (in emission order), sorted by (structure, object) so
    adjacent objects serialize back to back, and deduplicated so a
    prefetcher repeating itself cannot double-mark.  A batch of one
-   takes the plain fetch path, which is how unbatched mode issues
-   every target.  Prefetches are speculative: a NACKed one is simply
-   dropped — the demand path re-fetches the object if it is ever
-   needed.  The CPU never waited, so no cycles are stalled. *)
-let issue_prefetch_batch t (d : ds) ~origin_obj targets =
-  let viable = List.filter_map (fun tg -> prefetch_viable t tg d) targets in
-  let viable =
-    List.sort_uniq
-      (fun ((a : ds), ao) ((b : ds), bo) ->
-        let c = compare a.handle b.handle in
-        if c <> 0 then c else compare ao bo)
-      viable
-  in
-  match viable with
-  | [] -> ()
-  | [ (td, o) ] -> (
-    match Fabric.fetch_attempt t.fabric ~scale:td.scale ~now:t.clock ~bytes:(obj_size td) with
-    | Error _ ->
-      Rt_stats.note_pf_failed t.stats;
-      note_attempt t ~ds:td.handle ~obj:o (Some Fabric.Transient)
-    | Ok tr ->
-      td.st.fetched_bytes <- td.st.fetched_bytes + obj_size td;
-      note_attempt t ~ds:td.handle ~obj:o tr.Fabric.t_fault;
-      emit_qp_busy t ~ds:d.handle ~obj:origin_obj tr;
-      let span = prefetch_span t td o tr in
-      mark_prefetched t d ~origin_obj td o ~completion:tr.Fabric.t_complete
-        ~span)
-  | items -> (
-    let sizes = Array.of_list (List.map (fun (td, _) -> obj_size td) items) in
-    match Fabric.fetch_many_attempt t.fabric ~scale:d.scale ~now:t.clock ~sizes with
+   takes the plain fetch path.  When nothing survives the filter —
+   the common case, a window already resident — no call leaves this
+   module and nothing is allocated.  Prefetches are speculative: a
+   NACKed one is simply dropped — the demand path re-fetches the
+   object if it is ever needed.  The CPU never waited, so no cycles
+   are stalled. *)
+let issue_prefetch_batch t (d : ds) ~origin_obj =
+  let b = t.pf_targets in
+  let a = b.Prefetcher.buf in
+  let n = ref 0 in
+  for i = 0 to b.Prefetcher.n - 1 do
+    let o = a.((2 * i) + 1) in
+    let h = prefetch_viable t d a.(2 * i) o in
+    if h > 0 then begin
+      a.(2 * !n) <- h;
+      a.((2 * !n) + 1) <- o;
+      incr n
+    end
+  done;
+  b.Prefetcher.n <- !n;
+  if !n > 1 then Prefetcher.sort_uniq b;
+  let n = b.Prefetcher.n in
+  if n = 1 then issue_one t d ~origin_obj (get_ds t a.(0)) a.(1)
+  else if n > 1 then begin
+    let sizes = Array.make n 0 in
+    for i = 0 to n - 1 do
+      sizes.(i) <- obj_size (get_ds t a.(2 * i))
+    done;
+    match
+      Fabric.fetch_many_attempt t.fabric ~scale:d.scale ~now:t.clock.cycles
+        ~sizes
+    with
     | Error _ ->
       (* The whole coalesced request was NACKed: every target dropped. *)
       Rt_stats.note_pf_failed t.stats;
       note_attempt t ~ds:d.handle ~obj:origin_obj (Some Fabric.Transient)
     | Ok (tr, completions) ->
-      List.iter
-        (fun ((td : ds), _) ->
-          td.st.fetched_bytes <- td.st.fetched_bytes + obj_size td)
-        items;
+      for i = 0 to n - 1 do
+        let td = get_ds t a.(2 * i) in
+        td.st.fetched_bytes <- td.st.fetched_bytes + sizes.(i)
+      done;
       note_attempt t ~ds:d.handle ~obj:origin_obj tr.Fabric.t_fault;
       emit_qp_busy t ~ds:d.handle ~obj:origin_obj tr;
-      if Sink.tracing t.obs then
+      if t.tracing then
         Sink.emit t.obs
-          (Event.make ~cycle:t.clock ~ds:d.handle ~obj:origin_obj
+          (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:origin_obj
              (Event.Batch_fetch
-                { count = Array.length sizes;
-                  bytes = Array.fold_left ( + ) 0 sizes }));
+                { count = n; bytes = Array.fold_left ( + ) 0 sizes }));
       (* One batch span carrying the request's fabric occupancy, then
          one zero-phase member span per object (the batch already
          accounts for the wire; members exist for the causal chain and
@@ -815,7 +894,7 @@ let issue_prefetch_batch t (d : ds) ~origin_obj targets =
           Span.add c
             (mk_span t ~id ~kind:Span.Batch ~parent:t.cur_span
                ?edge:(if t.cur_span >= 0 then Some Span.E_trigger else None)
-               ~ds:d.handle ~obj:origin_obj ~issued:t.clock
+               ~ds:d.handle ~obj:origin_obj ~issued:t.clock.cycles
                ~start:tr.Fabric.t_start ~complete:tr.Fabric.t_complete
                ~queued:tr.Fabric.t_queued ~proto:tr.Fabric.t_proto
                ~wire:tr.Fabric.t_ser ~qp:tr.Fabric.t_qp
@@ -825,23 +904,24 @@ let issue_prefetch_batch t (d : ds) ~origin_obj targets =
           (id, Some c)
         | _ -> (-1, None)
       in
-      List.iteri
-        (fun i (td, o) ->
-          let span =
-            match sc with
-            | Some c ->
-              let id = Span.fresh c in
-              Span.add c
-                (mk_span t ~id ~kind:Span.Prefetch ~parent:batch_sp
-                   ~edge:Span.E_member ~ds:td.handle ~obj:o ~issued:t.clock
-                   ~start:tr.Fabric.t_start ~complete:completions.(i)
-                   ~qp:tr.Fabric.t_qp ~bytes:(obj_size td) ());
-              id
-            | None -> -1
-          in
-          mark_prefetched t d ~origin_obj td o ~completion:completions.(i)
-            ~span)
-        items)
+      for i = 0 to n - 1 do
+        let td = get_ds t a.(2 * i) and o = a.((2 * i) + 1) in
+        let span =
+          match sc with
+          | Some c ->
+            let id = Span.fresh c in
+            Span.add c
+              (mk_span t ~id ~kind:Span.Prefetch ~parent:batch_sp
+                 ~edge:Span.E_member ~ds:td.handle ~obj:o ~issued:t.clock.cycles
+                 ~start:tr.Fabric.t_start ~complete:completions.(i)
+                 ~qp:tr.Fabric.t_qp ~bytes:(obj_size td) ());
+            id
+          | None -> -1
+        in
+        mark_prefetched t d ~origin_obj td o ~completion:completions.(i)
+          ~span
+      done
+  end
 
 let epoch_len = 1024
 let epoch_min_issued = 64
@@ -851,9 +931,9 @@ let epoch_min_coverage = 0.25
 let reexplore_cooldown = 4 (* epochs spent off before retrying *)
 
 let emit_policy_switch t (d : ds) ~from_pf =
-  if Sink.tracing t.obs then
+  if t.tracing then
     Sink.emit t.obs
-      (Event.make ~cycle:t.clock ~ds:d.handle ~obj:0
+      (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:0
          (Event.Policy_switch { from_pf; to_pf = pf_name d }))
 
 (* Adaptive mode (paper: "standard prefetching metrics, such as
@@ -871,9 +951,9 @@ let adapt_prefetcher t (d : ds) =
     t.cfg.prefetch_mode = Pf_adaptive
     && d.epoch_accesses >= epoch_len
   then begin
-    if Sink.tracing t.obs then
+    if t.tracing then
       Sink.emit t.obs
-        (Event.make ~cycle:t.clock ~ds:d.handle ~obj:0 Event.Epoch_mark);
+        (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:0 Event.Epoch_mark);
     (match d.pf with
      | None ->
        if d.pf_cooldown > 0 then begin
@@ -928,56 +1008,59 @@ let run_prefetcher t (d : ds) ~obj ~missed =
   (match d.pf with
    | None -> ()
    | Some pf ->
-     let targets =
-       Prefetcher.on_access pf ~obj ~missed ~scan:(fun () ->
-           scan_object_pointers t d obj)
-     in
-     let targets = expand_targets targets in
+     let b = t.pf_targets in
+     b.Prefetcher.n <- 0;
+     Prefetcher.on_access pf b ~obj ~missed ~scan:d.pf_scan;
      (* Graceful degradation: under a faulty fabric each degradation
         step halves the prefetch fan-out per access, down to
         demand-only at the floor — fewer speculative transfers on a
-        link that is failing them.  Recovery re-widens the window. *)
-     let targets =
-       if t.fault_accounting && t.degrade > 0 then begin
-         let limit = effective_prefetch_limit t d in
-         let n = List.length targets in
-         if n > limit then begin
-           Rt_stats.note_pf_suppressed t.stats (n - limit);
-           List.filteri (fun i _ -> i < limit) targets
-         end
-         else targets
+        link that is failing them.  Recovery re-widens the window.
+        The cut keeps the first targets in emission order. *)
+     if t.fault_accounting && t.degrade > 0 then begin
+       let limit = effective_prefetch_limit t d in
+       if b.Prefetcher.n > limit then begin
+         Rt_stats.note_pf_suppressed t.stats (b.Prefetcher.n - limit);
+         b.Prefetcher.n <- limit
        end
-       else targets
-     in
-     if t.cfg.batching then issue_prefetch_batch t d ~origin_obj:obj targets
-     else
-       List.iter (fun tg -> issue_prefetch_batch t d ~origin_obj:obj [ tg ])
-         targets);
+     end;
+     if t.cfg.batching then issue_prefetch_batch t d ~origin_obj:obj
+     else begin
+       (* Each target on its own, judged viable only after the previous
+          one was marked in flight. *)
+       let a = b.Prefetcher.buf in
+       for i = 0 to b.Prefetcher.n - 1 do
+         let o = a.((2 * i) + 1) in
+         let h = prefetch_viable t d a.(2 * i) o in
+         if h > 0 then issue_one t d ~origin_obj:obj (get_ds t h) o
+       done
+     end);
   if t.cfg.prefetch_mode = Pf_adaptive then adapt_prefetcher t d
 
 (* ---------- the guard (cards_deref) ---------- *)
 
+(* The structure behind a managed address a real access dereferences;
+   a wild pointer fails.  The object is [offset lsr d.obj_shift]. *)
 let locate t addr =
-  let h = Addr.ds_of addr in
+  let h = addr lsr Addr.offset_bits in
   let d = get_ds t h in
-  let off = Addr.offset_of addr in
+  let off = addr land Addr.max_offset in
   if off >= d.pool_used then
     fail "wild pointer: ds %d offset %d beyond pool (%d bytes)" h off d.pool_used;
-  (d, off lsr d.obj_shift)
+  d
 
 (* Wait for an in-flight object to land; returns true when the data
    was already there (the prefetch was timely). *)
 let settle_inflight t (d : ds) o =
   let st = d.objs.(o) in
   if st land b_inflight <> 0 then begin
-    let wait = d.arrivals.(o) - t.clock in
+    let wait = d.arrivals.(o) - t.clock.cycles in
     d.objs.(o) <- st land lnot b_inflight;
     if wait > 0 then begin
-      let start = t.clock in
+      let start = t.clock.cycles in
       stall t ~ds:d.handle Attribution.Pf_wait wait;
       Profile.record_latency d.prof wait;
       d.st.prefetch_late <- d.st.prefetch_late + 1;
-      if Sink.tracing t.obs then
+      if t.tracing then
         Sink.emit t.obs
           (Event.make ~cycle:start ~ds:d.handle ~obj:o
              (Event.Prefetch_late { wait }));
@@ -990,7 +1073,7 @@ let settle_inflight t (d : ds) o =
         Span.add c
           (mk_span t ~id ~kind:Span.Pf_settle ~parent
              ?edge:(if parent >= 0 then Some Span.E_satisfy else None)
-             ~ds:d.handle ~obj:o ~issued:start ~start ~complete:t.clock
+             ~ds:d.handle ~obj:o ~issued:start ~start ~complete:t.clock.cycles
              ~pf_wait:wait ~bytes:(obj_size d) ());
         t.cur_span <- id
       | _ -> ());
@@ -1004,7 +1087,7 @@ let settle_inflight t (d : ds) o =
    fetch (the clean-fault path); the completion span then carries an
    [E_trap] edge. *)
 let demand_fetch ?(span_parent = -1) t (d : ds) o =
-  let start = t.clock in
+  let start = t.clock.cycles in
   let osz = obj_size d in
   (* One sampling decision covers the whole occasion — the completion
      span and every retry child — so chains are never half-recorded.
@@ -1038,12 +1121,12 @@ let demand_fetch ?(span_parent = -1) t (d : ds) o =
       Span.add c
         (mk_span t ~id ~kind:Span.Retry ~parent:root ~edge:Span.E_retry
            ~ds:d.handle ~obj:o ~issued:!att_start ~start:!att_start
-           ~complete:t.clock ~retry:!att_retry ~bytes:osz ?fault:!att_fault
+           ~complete:t.clock.cycles ~retry:!att_retry ~bytes:osz ?fault:!att_fault
            ())
     | _ -> ());
     att_retry := 0;
     att_fault := None;
-    att_start := t.clock
+    att_start := t.clock.cycles
   in
   (* The attempt that delivered the data waits until its completion
      plus the address-to-object mapping, charged as its root-cause
@@ -1056,12 +1139,12 @@ let demand_fetch ?(span_parent = -1) t (d : ds) o =
     stall t ~ds:d.handle Attribution.Proto proto;
     stall t ~ds:d.handle Attribution.Wire tr.Fabric.t_ser;
     (* Latency is end-to-end: failed attempts and backoffs included. *)
-    let waited = t.clock - start in
+    let waited = t.clock.cycles - start in
     Profile.record_latency d.prof waited;
     d.objs.(o) <- d.objs.(o) lor b_resident;
     d.st.remote_faults <- d.st.remote_faults + 1;
     d.epoch_faults <- d.epoch_faults + 1;
-    if Sink.tracing t.obs then
+    if t.tracing then
       Sink.emit t.obs
         (Event.make ~cycle:start ~ds:d.handle ~obj:o
            (Event.Remote_fault { queued; stall = waited }));
@@ -1077,7 +1160,7 @@ let demand_fetch ?(span_parent = -1) t (d : ds) o =
            ~parent:span_parent
            ?edge:(if span_parent >= 0 then Some Span.E_trap else None)
            ~ds:d.handle ~obj:o ~issued:start ~start:tr.Fabric.t_start
-           ~complete:t.clock ~queued ~proto ~wire:tr.Fabric.t_ser
+           ~complete:t.clock.cycles ~queued ~proto ~wire:tr.Fabric.t_ser
            ~qp:tr.Fabric.t_qp ~bytes:osz
            ?fault:(Option.map Fabric.fault_kind_name tr.Fabric.t_fault) ());
       t.cur_span <- root
@@ -1085,10 +1168,13 @@ let demand_fetch ?(span_parent = -1) t (d : ds) o =
     clock_insert t d o
   in
   let rec attempt n =
-    match Fabric.fetch_attempt t.fabric ~scale:d.scale ~now:t.clock ~bytes:osz with
+    match
+      Fabric.fetch_attempt t.fabric ~scale:d.scale ~now:t.clock.cycles
+        ~bytes:osz
+    with
     | Error f ->
       (* The CPU waited for the NACK: queueing + protocol turnaround. *)
-      retry_stall (f.Fabric.f_fail - t.clock);
+      retry_stall (f.Fabric.f_fail - t.clock.cycles);
       if sc <> None then att_fault := Some "transient";
       note_attempt t ~ds:d.handle ~obj:o (Some Fabric.Transient);
       backoff n
@@ -1101,7 +1187,7 @@ let demand_fetch ?(span_parent = -1) t (d : ds) o =
       match tr.Fabric.t_fault with
       | Some Fabric.Late
         when n < t.cfg.retry_max
-             && tr.Fabric.t_complete - t.clock > t.cfg.fetch_timeout_cycles ->
+             && tr.Fabric.t_complete - t.clock.cycles > t.cfg.fetch_timeout_cycles ->
         (* The congested completion blew the per-fetch budget: give up
            on it after [fetch_timeout_cycles] and re-issue.  Only
            late-faulted attempts can time out — legitimate queueing
@@ -1109,9 +1195,9 @@ let demand_fetch ?(span_parent = -1) t (d : ds) o =
            retry storm. *)
         note_attempt t ~ds:d.handle ~obj:o (Some Fabric.Late);
         Rt_stats.note_timeout t.stats;
-        if Sink.tracing t.obs then
+        if t.tracing then
           Sink.emit t.obs
-            (Event.make ~cycle:t.clock ~ds:d.handle ~obj:o
+            (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:o
                (Event.Fetch_timeout { budget = t.cfg.fetch_timeout_cycles }));
         retry_stall t.cfg.fetch_timeout_cycles;
         if sc <> None then att_fault := Some "late";
@@ -1127,14 +1213,16 @@ let demand_fetch ?(span_parent = -1) t (d : ds) o =
       flush_retry ();
       escalated := true;
       d.st.fetched_bytes <- d.st.fetched_bytes + osz;
-      finish (Fabric.fetch_reliable t.fabric ~scale:d.scale ~now:t.clock ~bytes:osz)
+      finish
+        (Fabric.fetch_reliable t.fabric ~scale:d.scale ~now:t.clock.cycles
+           ~bytes:osz)
     end
     else begin
       let wait = t.cfg.retry_backoff_cycles lsl min n 6 in
       Rt_stats.note_retry t.stats;
-      if Sink.tracing t.obs then
+      if t.tracing then
         Sink.emit t.obs
-          (Event.make ~cycle:t.clock ~ds:d.handle ~obj:o
+          (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:o
              (Event.Retry_backoff { attempt = n + 1; wait }));
       retry_stall wait;
       flush_retry ();
@@ -1173,31 +1261,22 @@ let note_prefetch_hit t (d : ds) o ~timely =
         Span.add c
           (mk_span t ~id ~kind:Span.Pf_hit ~parent
              ?edge:(if parent >= 0 then Some Span.E_satisfy else None)
-             ~ds:d.handle ~obj:o ~issued:t.clock ~start:t.clock
-             ~complete:t.clock ~bytes:(obj_size d) ());
+             ~ds:d.handle ~obj:o ~issued:t.clock.cycles ~start:t.clock.cycles
+             ~complete:t.clock.cycles ~bytes:(obj_size d) ());
         t.cur_span <- id
       | _ -> ()
     end;
-    if Sink.tracing t.obs then
+    if t.tracing then
       Sink.emit t.obs
-        (Event.make ~cycle:t.clock ~ds:d.handle ~obj:o
+        (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:o
            (Event.Prefetch_use { timely }))
   end
 
 let guard t ~write addr =
-  if
-    (not (Addr.is_managed addr))
-    (* Guards may be hoisted to loop preheaders and thus run
-       speculatively (e.g. ahead of a zero-trip loop) with an address
-       the loop would never dereference.  A managed address beyond its
-       pool is then benign: pay the custody check and fall through.
-       Real accesses still fault on wild pointers (see [resolve]). *)
-    || (let h = addr lsr Addr.offset_bits in
-        h > Vec.length t.dss
-        || Addr.offset_of addr >= (Vec.get t.dss (h - 1)).pool_used)
-  then stall t ~ds:0 Attribution.Guard_exec t.cfg.cost.guard_unmanaged
-  else begin
-    let d, o = locate t addr in
+  let off = addr land Addr.max_offset in
+  match tc_find t (addr lsr Addr.offset_bits) with
+  | Some d when off < d.pool_used ->
+    let o = off lsr d.obj_shift in
     d.st.guards <- d.st.guards + 1;
     (* Each access starts a fresh causal context: [cur_span] is set by
        the demand/settle/hit span this access produces (if any) and
@@ -1213,16 +1292,16 @@ let guard t ~write addr =
         note_prefetch_hit t d o ~timely;
         stall t ~ds:d.handle Attribution.Guard_exec local_cost;
         d.st.guard_hits <- d.st.guard_hits + 1;
-        if Sink.tracing t.obs then
+        if t.tracing then
           Sink.emit t.obs
-            (Event.make ~cycle:t.clock ~ds:d.handle ~obj:o Event.Guard_hit);
+            (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:o Event.Guard_hit);
         false
       end
       else begin
         stall t ~ds:d.handle Attribution.Guard_exec local_cost;
-        if Sink.tracing t.obs then
+        if t.tracing then
           Sink.emit t.obs
-            (Event.make ~cycle:t.clock ~ds:d.handle ~obj:o Event.Guard_miss);
+            (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:o Event.Guard_miss);
         demand_fetch t d o;
         true
       end
@@ -1231,7 +1310,13 @@ let guard t ~write addr =
     d.objs.(o) <- d.objs.(o) lor bits;
     run_prefetcher t d ~obj:o ~missed;
     maybe_sample t
-  end
+  | _ ->
+    (* Unmanaged, or a guard hoisted to a loop preheader and run
+       speculatively (e.g. ahead of a zero-trip loop) with an address
+       the loop would never dereference.  A managed address beyond its
+       pool is then benign: pay the custody check and fall through.
+       Real accesses still fault on wild pointers (see [resolve]). *)
+    stall t ~ds:0 Attribution.Guard_exec t.cfg.cost.guard_unmanaged
 
 let loop_check t addrs =
   (* A base pointer is clean-runnable iff it is untagged: untagged
@@ -1244,16 +1329,17 @@ let loop_check t addrs =
       stall t ~ds:0 Attribution.Bookkeeping t.cfg.cost.loop_check_per_ds;
       if Addr.is_managed addr then ok := false)
     addrs;
-  if Sink.tracing t.obs then
+  if t.tracing then
     Sink.emit t.obs
-      (Event.make ~cycle:t.clock ~ds:0 ~obj:0 (Event.Loop_version { clean = !ok }));
+      (Event.make ~cycle:t.clock.cycles ~ds:0 ~obj:0
+         (Event.Loop_version { clean = !ok }));
   !ok
 
 (* ---------- data accesses ---------- *)
 
 (* Unguarded fallback: trap, then behave like a demand fault. *)
 let clean_fault t (d : ds) o ~write =
-  let start = t.clock in
+  let start = t.clock.cycles in
   let c =
     segv_penalty
     + (if write then t.cfg.cost.guard_local_write
@@ -1269,7 +1355,7 @@ let clean_fault t (d : ds) o ~write =
       let id = Span.fresh col in
       Span.add col
         (mk_span t ~id ~kind:Span.Trap ~parent:(-1) ~ds:d.handle ~obj:o
-           ~issued:start ~start ~complete:t.clock ~trap:c ~bytes:(obj_size d)
+           ~issued:start ~start ~complete:t.clock.cycles ~trap:c ~bytes:(obj_size d)
            ());
       id
     | _ -> -1
@@ -1280,14 +1366,19 @@ let clean_fault t (d : ds) o ~write =
   d.st.clean_faults <- d.st.clean_faults + 1;
   (* The span covers trap + settle + fetch; a nested [Remote_fault]
      span appears inside it when the object had to be demand-fetched. *)
-  if Sink.tracing t.obs then
+  if t.tracing then
     Sink.emit t.obs
       (Event.make ~cycle:start ~ds:d.handle ~obj:o
-         (Event.Clean_fault { stall = t.clock - start }))
+         (Event.Clean_fault { stall = t.clock.cycles - start }))
 
+(* Returns the access's backing bytes; its offset in them is
+   [Addr.offset_of addr].  Returning the one pointer allocates nothing,
+   where a (bytes, offset) pair cost five words per access. *)
 let resolve t addr ~write =
-  if Addr.is_managed addr then begin
-    let d, o = locate t addr in
+  let off = addr land Addr.max_offset in
+  if addr lsr Addr.offset_bits <> 0 then begin
+    let d = locate t addr in
+    let o = off lsr d.obj_shift in
     d.st.plain_accesses <- d.st.plain_accesses + 1;
     let st = d.objs.(o) in
     if st land b_resident = 0 then clean_fault t d o ~write
@@ -1299,121 +1390,114 @@ let resolve t addr ~write =
     let bits = if write then b_ref lor b_dirty else b_ref in
     d.objs.(o) <- d.objs.(o) lor bits;
     maybe_sample t;
-    (d.data, Addr.offset_of addr)
+    d.data
   end
   else begin
-    let off = Addr.offset_of addr in
     if off + 8 > t.unmanaged_used then
       fail "wild unmanaged pointer: offset %d (segment %d bytes)" off
         t.unmanaged_used;
-    Rt_stats.(
-      let u = unmanaged_bucket t.stats in
-      u.plain_accesses <- u.plain_accesses + 1);
+    let u = t.unmanaged_st in
+    u.plain_accesses <- u.plain_accesses + 1;
     charge t t.cfg.cost.mem_access;
     maybe_sample t;
-    (t.unmanaged_data, off)
+    t.unmanaged_data
   end
 
 let read_i64 t addr =
-  let data, off = resolve t addr ~write:false in
-  Int64.to_int (Bytes.get_int64_le data off)
+  let data = resolve t addr ~write:false in
+  Int64.to_int (Bytes.get_int64_le data (addr land Addr.max_offset))
 
 let write_i64 t addr v =
-  let data, off = resolve t addr ~write:true in
-  Bytes.set_int64_le data off (Int64.of_int v)
+  let data = resolve t addr ~write:true in
+  Bytes.set_int64_le data (addr land Addr.max_offset) (Int64.of_int v)
 
 let read_f64 t addr =
-  let data, off = resolve t addr ~write:false in
-  Int64.float_of_bits (Bytes.get_int64_le data off)
+  let data = resolve t addr ~write:false in
+  Int64.float_of_bits (Bytes.get_int64_le data (addr land Addr.max_offset))
 
 let write_f64 t addr v =
-  let data, off = resolve t addr ~write:true in
-  Bytes.set_int64_le data off (Int64.bits_of_float v)
+  let data = resolve t addr ~write:true in
+  Bytes.set_int64_le data (addr land Addr.max_offset) (Int64.bits_of_float v)
 
 (* ---------- the decoded engine's access fast path ---------- *)
 
 (* The CaRDS idea applied to the simulator itself: [resolve] re-does
    per access work whose answer cannot change — the handle -> structure
-   mapping.  The fast path answers it from a small direct-mapped
+   mapping.  The fast path answers it from the direct-mapped
    translation cache and inlines the one dynamic decision that remains,
    the residency check; a resident local hit then costs one probe, one
-   flag check and the same accounting as [resolve]'s happy case.
-   Anything else — non-resident, in flight, beyond the pool, a wild
-   unmanaged offset — falls back to the canonical path *before touching
-   any counter or the clock*, so cycles, stats and attribution are
-   bit-identical by construction whichever path an access takes.
+   flag check and the same accounting as [resolve]'s happy case, and
+   allocates nothing.  Anything else — non-resident, in flight, beyond
+   the pool, a wild unmanaged offset — falls back to the canonical path
+   *before touching any counter or the clock*, so cycles, stats and
+   attribution are bit-identical by construction whichever path an
+   access takes.
 
    Cache safety: handles are dense and stable, structure records are
    created once and never replaced, and a pool only grows — so a cached
    entry can be missing but never stale, and residency/in-flight state
    is read fresh from [objs] on every access. *)
 
-let tc_find t h =
-  let slot = h land tc_mask in
-  match t.tc.(slot) with
-  | Some d when d.handle = h -> Some d
-  | _ ->
-    if h >= 1 && h <= Vec.length t.dss then begin
-      let d = Vec.get t.dss (h - 1) in
-      t.tc.(slot) <- Some d;
-      Some d
-    end
-    else None
+(* [resolve_fast]'s "take the slow path" answer.  A hit's bytes are
+   never this buffer: they hold at least the 8 bytes being accessed. *)
+let slow_path = Bytes.empty
 
-(* Returns the backing bytes and offset for a local hit; [None] means
-   "take the slow path", with no observable action performed yet. *)
+(* Returns the backing bytes of a local hit, like [resolve];
+   [slow_path] means "take the slow path", with no observable action
+   performed yet. *)
 let resolve_fast t addr ~write =
-  if Addr.is_managed addr then
-    match tc_find t (Addr.ds_of addr) with
-    | None -> None
-    | Some d ->
-      let off = Addr.offset_of addr in
-      if off >= d.pool_used then None
-      else begin
-        let o = off lsr d.obj_shift in
-        let st = d.objs.(o) in
-        if st land (b_resident lor b_inflight) = b_resident then begin
-          d.st.plain_accesses <- d.st.plain_accesses + 1;
-          charge t t.cfg.cost.mem_access;
-          d.objs.(o) <-
-            st lor (if write then b_ref lor b_dirty else b_ref);
-          maybe_sample t;
-          Some (d.data, off)
-        end
-        else None
+  let off = addr land Addr.max_offset in
+  let h = addr lsr Addr.offset_bits in
+  if h <> 0 then
+    match tc_find t h with
+    | Some d when off < d.pool_used ->
+      let o = off lsr d.obj_shift in
+      let st = d.objs.(o) in
+      if st land (b_resident lor b_inflight) = b_resident then begin
+        d.st.plain_accesses <- d.st.plain_accesses + 1;
+        charge t t.cfg.cost.mem_access;
+        d.objs.(o) <- st lor (if write then b_ref lor b_dirty else b_ref);
+        maybe_sample t;
+        d.data
       end
+      else slow_path
+    | _ -> slow_path
+  else if off + 8 > t.unmanaged_used then slow_path
   else begin
-    let off = Addr.offset_of addr in
-    if off + 8 > t.unmanaged_used then None
-    else begin
-      Rt_stats.(
-        let u = unmanaged_bucket t.stats in
-        u.plain_accesses <- u.plain_accesses + 1);
-      charge t t.cfg.cost.mem_access;
-      maybe_sample t;
-      Some (t.unmanaged_data, off)
-    end
+    let u = t.unmanaged_st in
+    u.plain_accesses <- u.plain_accesses + 1;
+    charge t t.cfg.cost.mem_access;
+    maybe_sample t;
+    t.unmanaged_data
   end
 
 let read_i64_fast t addr =
-  match resolve_fast t addr ~write:false with
-  | Some (data, off) -> Int64.to_int (Bytes.get_int64_le data off)
-  | None -> read_i64 t addr
+  let data = resolve_fast t addr ~write:false in
+  if data != slow_path then
+    Int64.to_int (Bytes.get_int64_le data (addr land Addr.max_offset))
+  else read_i64 t addr
 
 let write_i64_fast t addr v =
-  match resolve_fast t addr ~write:true with
-  | Some (data, off) -> Bytes.set_int64_le data off (Int64.of_int v)
-  | None -> write_i64 t addr v
+  let data = resolve_fast t addr ~write:true in
+  if data != slow_path then
+    Bytes.set_int64_le data (addr land Addr.max_offset) (Int64.of_int v)
+  else write_i64 t addr v
 
-let read_f64_fast t addr =
-  match resolve_fast t addr ~write:false with
-  | Some (data, off) -> Int64.float_of_bits (Bytes.get_int64_le data off)
-  | None -> read_f64 t addr
+(* The float accesses move the value between the heap and a register
+   file slot, so no boxed float crosses a call. *)
+let read_f64_into t addr (regs : float array) r =
+  let data = resolve_fast t addr ~write:false in
+  if data != slow_path then
+    regs.(r) <-
+      Int64.float_of_bits (Bytes.get_int64_le data (addr land Addr.max_offset))
+  else regs.(r) <- read_f64 t addr
 
-let write_f64_fast t addr v =
-  match resolve_fast t addr ~write:true with
-  | Some (data, off) -> Bytes.set_int64_le data off (Int64.bits_of_float v)
-  | None -> write_f64 t addr v
+let write_f64_from t addr (regs : float array) r =
+  let data = resolve_fast t addr ~write:true in
+  if data != slow_path then
+    Bytes.set_int64_le data (addr land Addr.max_offset)
+      (Int64.bits_of_float regs.(r))
+  else write_f64 t addr regs.(r)
 
 (* ---------- introspection ---------- *)
 

@@ -126,6 +126,18 @@ val charge : t -> int -> unit
     [Profile.compute (profile t) + Attribution.total (attribution t)
     = now t] holds by construction. *)
 
+type clock = { mutable cycles : int }
+(** The simulated clock itself ([cycles] is {!now}). *)
+
+val clock : t -> clock
+(** The runtime's clock record, exposed by type so the decoded engine
+    can bind it once and charge an instruction with two in-place adds
+    — to [cycles] and to [Profile.p_compute] of {!profile}, exactly
+    what {!charge} does — instead of a call into this module.  Dune's
+    default dev profile compiles every module [-opaque], so no call
+    across modules is ever inlined.  Anything else that writes
+    [cycles] breaks the compute + ledger = now identity. *)
+
 (** {2 Runtime entry points (called from transformed code)} *)
 
 val ds_init : t -> sid:int -> int
@@ -155,15 +167,23 @@ val write_f64 : t -> int -> float -> unit
 
 val read_i64_fast : t -> int -> int
 val write_i64_fast : t -> int -> int -> unit
-val read_f64_fast : t -> int -> float
-val write_f64_fast : t -> int -> float -> unit
 (** Accounting-identical fast-path variants used by the pre-decoded
     execution engine.  A resident local access resolves its structure
     through a small direct-mapped handle translation cache and costs
-    one probe plus one residency flag check; any other case —
-    non-resident, in flight, wild — falls back to the canonical
-    functions above before touching any counter, so simulated cycles,
-    stats and attribution are bit-identical whichever path is taken. *)
+    one probe plus one residency flag check, with no allocation; any
+    other case — non-resident, in flight, wild — falls back to the
+    canonical functions above before touching any counter, so
+    simulated cycles, stats and attribution are bit-identical whichever
+    path is taken. *)
+
+val read_f64_into : t -> int -> float array -> int -> unit
+(** [read_f64_into t addr regs r] is [regs.(r) <- read_f64 t addr] on
+    the fast path: the value goes straight into the register file, so
+    no boxed float is returned. *)
+
+val write_f64_from : t -> int -> float array -> int -> unit
+(** [write_f64_from t addr regs r] is [write_f64 t addr regs.(r)] on
+    the fast path, reading the value from the register file. *)
 
 val alloc_unmanaged : t -> size:int -> int
 (** Reserve unmanaged storage (globals segment). *)

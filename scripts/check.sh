@@ -144,7 +144,15 @@ echo "== bad flag values: named error, exit 1, at once"
 # every access runs for half a minute and prints half a gigabyte.
 for args in "run examples/minic/listing1.mc --qp 0" "serve --quantum 0" \
     "serve --pin-budget=-5" \
-    "run examples/minic/listing1.mc --metrics --metrics-interval 0"; do
+    "run examples/minic/listing1.mc --metrics --metrics-interval 0" \
+    "serve --requests=-3" "serve --gap=-5" "serve --gap nan" \
+    "serve --gap inf" "run examples/minic/listing1.mc -k 5" \
+    "run examples/minic/listing1.mc -k-0.5" \
+    "run examples/minic/listing1.mc -k nan" \
+    "run examples/minic/listing1.mc --trace-capacity 0" \
+    "run examples/minic/listing1.mc --trace-capacity=-5" \
+    "run examples/minic/listing1.mc --retry-max=-1" \
+    "workload analytics --scale=-5" "workload analytics --scale 0"; do
   status=0
   # shellcheck disable=SC2086 # word-split the flag list on purpose
   timeout 10 dune exec --no-build bin/cards_cli.exe -- $args \
@@ -154,6 +162,30 @@ for args in "run examples/minic/listing1.mc --qp 0" "serve --quantum 0" \
       "(want 1 with an error: line)" >&2
     exit 1
   fi
+done
+
+echo "== allocation ceiling: minor words per interpreted instruction"
+# The decoded engine's per-instruction charge, guard hits, fast-path
+# accesses and prefetch issue allocate nothing, so a whole run
+# allocates about one minor word per instruction (call frames, demand
+# misses, setup).  Fail above 1.5 words per instruction.  The built
+# binary runs directly: dune exec is an OCaml program itself, and its
+# own allocation would count.
+for pol in "--policy all-remotable --local 1M --remotable 768K" \
+    "--policy all-local"; do
+  # shellcheck disable=SC2086 # word-split the flag list on purpose
+  OCAMLRUNPARAM=v=0x400 _build/default/bin/cards_cli.exe run \
+    examples/minic/fig9_list.mc --factorize $pol \
+    > /dev/null 2> "$tmpdir/alloc.err"
+  instrs=$(sed -n 's/.* \([0-9][0-9]*\) instructions.*/\1/p' "$tmpdir/alloc.err")
+  words=$(sed -n 's/^minor_words: *\([0-9][0-9]*\).*/\1/p' "$tmpdir/alloc.err")
+  if [ -z "$instrs" ] || [ -z "$words" ] \
+      || [ $((2 * words)) -gt $((3 * instrs)) ]; then
+    echo "check.sh: fig9_list.mc $pol: ${words:-?} minor words for" \
+      "${instrs:-?} instructions (ceiling 1.5 per instruction)" >&2
+    exit 1
+  fi
+  echo "  $pol: $words minor words, $instrs instructions"
 done
 
 if [ "$quick" = yes ]; then

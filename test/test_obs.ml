@@ -338,7 +338,7 @@ let test_profile_table_groups_ledger () =
   charge 2 ~fn:"g" O.Attribution.Bookkeeping 3;
   charge 0 O.Attribution.Bookkeeping 8;
   let prof = O.Profile.create () in
-  O.Profile.add_compute prof 1328;
+  prof.O.Profile.p_compute <- 1328;
   (O.Profile.buckets prof 1).O.Profile.p_hidden <- 900;
   let names = function 0 -> "U" | 1 -> "A" | _ -> "B" in
   let s =
@@ -995,10 +995,12 @@ let test_metrics_csv_shape () =
         (cols l))
     lines
 
-(* The zero-cost-off claim, measured: with no collector installed the
-   guard paths must not allocate a single extra word.  Each loop is
-   timed as the delta between N and 2N iterations, which cancels
-   whatever boxing the measurement harness itself does. *)
+(* The allocation-free hot path, measured: guard hits, fast-path
+   accesses, prefetch issue that sends nothing and the ledger must not
+   allocate a single word, and a sink without a span collector must
+   add nothing.  Each loop is timed as the delta between N and 2N
+   iterations, which cancels whatever boxing the measurement harness
+   itself does. *)
 let minor_words_per_iter f n =
   let delta k =
     let w0 = Gc.minor_words () in
@@ -1012,17 +1014,17 @@ let minor_words_per_iter f n =
   (d2 -. d1) /. float_of_int n
 
 let test_spans_off_allocation_free () =
-  let mk_rt obs =
+  let mk_rt ?(prefetch_mode = R.Runtime.Pf_none) obs =
     let rt =
       R.Runtime.create ?obs
         { R.Runtime.default_config with
           policy = R.Policy.All_remotable; k = 0.0;
           local_bytes = 1024 * 1024; remotable_bytes = 512 * 1024;
-          prefetch_mode = R.Runtime.Pf_none }
+          prefetch_mode }
         [| R.Static_info.default ~sid:0 |]
     in
     let h = R.Runtime.ds_init rt ~sid:0 in
-    let a = R.Runtime.ds_alloc rt ~handle:h ~size:4096 in
+    let a = R.Runtime.ds_alloc rt ~handle:h ~size:(16 * 4096) in
     R.Runtime.guard rt ~write:false a;
     (rt, a)
   in
@@ -1030,20 +1032,24 @@ let test_spans_off_allocation_free () =
   (* [Gc.minor_words] itself boxes a float per probe; the N-vs-2N
      delta cancels it up to sub-word float noise, hence the epsilon. *)
   let eps = 0.01 in
-  (* Unmanaged custody checks allocate nothing at all. *)
-  let null_rt, _ = mk_rt None in
-  let unmanaged =
-    minor_words_per_iter (fun () -> R.Runtime.guard null_rt ~write:false 64) n
+  let zero what words =
+    check Alcotest.bool
+      (Printf.sprintf "%s allocates nothing (%.3f words)" what words)
+      true
+      (Float.abs words < eps)
   in
-  check Alcotest.bool "unmanaged guard allocates nothing" true
-    (Float.abs unmanaged < eps);
-  (* Managed guard hits: whatever the resident path allocates today, a
-     sink without a span collector must add nothing to it. *)
+  (* Unmanaged custody checks. *)
+  let null_rt, _ = mk_rt None in
+  zero "unmanaged guard"
+    (minor_words_per_iter
+       (fun () -> R.Runtime.guard null_rt ~write:false 64) n);
+  (* Managed guard hits, with and without a span-less sink. *)
   let base_rt, base_a = mk_rt None in
   let base =
     minor_words_per_iter
       (fun () -> R.Runtime.guard base_rt ~write:false base_a) n
   in
+  zero "guard hit" base;
   let off_rt, off_a = mk_rt (Some (O.Sink.create ())) in
   let off =
     minor_words_per_iter
@@ -1051,7 +1057,166 @@ let test_spans_off_allocation_free () =
   in
   check Alcotest.bool "span-less sink adds no allocation" true
     (Float.abs (off -. base) < eps);
-  check Alcotest.bool "hit path near allocation-free" true (base <= 3.0)
+  (* Fast-path i64 accesses, and f64 ones through the register file. *)
+  let rt, a = mk_rt None in
+  zero "fast-path i64 read"
+    (minor_words_per_iter (fun () -> ignore (R.Runtime.read_i64_fast rt a)) n);
+  zero "fast-path i64 write"
+    (minor_words_per_iter (fun () -> R.Runtime.write_i64_fast rt a 42) n);
+  let regs = Array.make 2 1.5 in
+  zero "f64 store from the register file"
+    (minor_words_per_iter (fun () -> R.Runtime.write_f64_from rt a regs 0) n);
+  zero "f64 load into the register file"
+    (minor_words_per_iter (fun () -> R.Runtime.read_f64_into rt a regs 1) n);
+  check (Alcotest.float 0.0) "f64 round trip" 1.5 regs.(1);
+  (* Guard hits walking a resident pool under a locked stride
+     prefetcher: every call fills the target buffer and filters it,
+     and every window object is already resident, so nothing is sent. *)
+  let srt, sa = mk_rt ~prefetch_mode:R.Runtime.Pf_stride_only None in
+  let i = ref 0 in
+  let walk () =
+    R.Runtime.guard srt ~write:false (sa + ((!i land 15) * 4096));
+    incr i
+  in
+  for _ = 1 to 64 do walk () done;
+  let fabric_before = (R.Runtime.fabric_stats srt).Cards_net.Fabric.fetches in
+  zero "stride guard hit, resident window" (minor_words_per_iter walk n);
+  let pf_calls, pf_targets =
+    match R.Runtime.report srt with
+    | [ r ] -> (r.R.Runtime.r_pf_calls, r.R.Runtime.r_pf_targets)
+    | _ -> (0, 0)
+  in
+  check Alcotest.bool "the stride prefetcher emitted targets" true
+    (pf_calls > n && pf_targets > 0);
+  check Alcotest.int "nothing went on the wire" fabric_before
+    (R.Runtime.fabric_stats srt).Cards_net.Fabric.fetches;
+  (* Guard hits alternating between two access sites: each charge
+     lands in another ledger cell. *)
+  let lrt, la = mk_rt None in
+  let fn = "loop" in
+  let flip = ref false in
+  let two_sites () =
+    flip := not !flip;
+    R.Runtime.set_site lrt ~fn ~block:1 ~instr:(if !flip then 2 else 5);
+    R.Runtime.guard lrt ~write:false la
+  in
+  zero "guard hits alternating between two sites"
+    (minor_words_per_iter two_sites n)
+
+(* The decoded engine end to end: a call-free MiniC loop of guarded
+   i64 and f64 loads and stores and float-register arithmetic.  Its
+   setup allocates the same at any trip count, so a run allocates the
+   same number of minor words at 2 000 and at 4 000 trips exactly when
+   an iteration allocates nothing. *)
+let test_decoded_loop_allocation_free () =
+  let src trips =
+    Printf.sprintf
+      {|int main() {
+  int *cnt = malloc(64 * 8);
+  double *val = malloc(64 * 8);
+  int i = 0;
+  double acc = 0.0;
+  while (i < %d) {
+    int j = i %% 64;
+    cnt[j] = cnt[j] + i;
+    double v = val[j] * 0.5 + 1.0;
+    val[j] = v;
+    if (v > acc) { acc = v; }
+    acc = acc - v * 0.25;
+    i = i + 1;
+  }
+  return cnt[7];
+}|}
+      trips
+  in
+  let cfg =
+    { R.Runtime.default_config with
+      policy = R.Policy.All_remotable; k = 0.0;
+      local_bytes = 1024 * 1024; remotable_bytes = 512 * 1024 }
+  in
+  let words trips =
+    let compiled = P.compile_source (src trips) in
+    let w0 = Gc.minor_words () in
+    let _, rt = P.run compiled cfg in
+    let w = Gc.minor_words () -. w0 in
+    (w, R.Runtime.stats rt)
+  in
+  ignore (words 2_000);
+  let w1, st1 = words 2_000 in
+  let w2, _ = words 4_000 in
+  let guards =
+    (R.Rt_stats.total st1).R.Rt_stats.guards
+  in
+  check Alcotest.bool "the loop runs guarded accesses" true (guards >= 2_000);
+  check (Alcotest.float 0.0)
+    "same minor words at 2 000 and 4 000 trips" w1 w2
+(* The ledger's cell cache is invisible: a random interleaving of
+   charges over more (ds, site) keys than the cache has slots — so
+   keys keep evicting each other — with one function name spelled by
+   two physically distinct strings, folds to the same per-cause,
+   per-structure and per-site totals as a plain table of the same
+   charges. *)
+let prop_ledger_cache_exact =
+  let names = [| "main"; "walk"; "build"; String.concat "" [ "ma"; "in" ] |] in
+  let causes =
+    O.Attribution.
+      [| Proto; Wire; Queue 0; Queue 2; Pf_wait; Retry; Guard_exec; Trap;
+         Bookkeeping |]
+  in
+  let charge_gen =
+    QCheck.Gen.(
+      map
+        (fun ((ds, fn, block), (instr, cause, cycles)) ->
+          (ds, fn, block, instr, cause, cycles))
+        (pair
+           (triple (int_range 0 3) (int_range 0 3) (int_range (-1) 63))
+           (triple (int_range 0 15) (int_range 0 8) (int_range 1 1000))))
+  in
+  QCheck.Test.make ~name:"ledger cell cache folds exactly" ~count:100
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 4000) charge_gen))
+    (fun charges ->
+      let led = O.Attribution.create () in
+      let plain = Hashtbl.create 64 and per_site = Hashtbl.create 64 in
+      let add tbl key cycles =
+        Hashtbl.replace tbl key
+          (cycles + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+      in
+      List.iter
+        (fun (ds, fn, block, instr, cause, cycles) ->
+          let cause = causes.(cause) in
+          O.Attribution.charge led ~ds ~fn:names.(fn) ~block ~instr cause
+            cycles;
+          add plain (ds, cause) cycles;
+          add per_site (ds, names.(fn), block, instr) cycles)
+        charges;
+      let fold pick =
+        Hashtbl.fold (fun k v acc -> if pick k then acc + v else acc) plain 0
+      in
+      let want_totals =
+        List.map
+          (fun cause -> (cause, fold (fun (_, c) -> c = cause)))
+          (O.Attribution.causes led)
+      in
+      let site_totals =
+        List.map
+          (fun (r : O.Attribution.site_row) ->
+            ((r.r_ds, r.r_site.s_fn, r.r_site.s_block, r.r_site.s_instr),
+             r.r_total))
+          (O.Attribution.site_rows led)
+      in
+      O.Attribution.cause_totals led = want_totals
+      && O.Attribution.total led = fold (fun _ -> true)
+      && List.sort compare site_totals
+         = List.sort compare
+             (Hashtbl.fold (fun k v acc -> (k, v) :: acc) per_site [])
+      && List.for_all
+           (fun ds ->
+             O.Attribution.ds_cause_totals led ds
+             = List.map
+                 (fun cause ->
+                   (cause, fold (fun (d, c) -> d = ds && c = cause)))
+                 (O.Attribution.causes led))
+           [ 0; 1; 2; 3 ])
 
 let suite =
   [ Alcotest.test_case "attribution sums to total" `Quick
@@ -1112,4 +1277,7 @@ let suite =
     Alcotest.test_case "spans folded lines" `Quick test_spans_folded_lines;
     Alcotest.test_case "metrics csv shape" `Quick test_metrics_csv_shape;
     Alcotest.test_case "spans off allocation-free" `Quick
-      test_spans_off_allocation_free ]
+      test_spans_off_allocation_free;
+    Alcotest.test_case "decoded loop allocation-free" `Quick
+      test_decoded_loop_allocation_free;
+    QCheck_alcotest.to_alcotest prop_ledger_cache_exact ]

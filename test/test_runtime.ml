@@ -257,48 +257,62 @@ let prop_policy_quota =
 
 (* ---------- Prefetcher ---------- *)
 
-let no_scan () = []
+let no_scan _ _ = ()
 
-(* Expand a target list to the individual objects it names. *)
-let objs_of targets =
-  List.concat_map
-    (fun (t : R.Prefetcher.target) ->
-      List.init t.t_len (fun i -> t.t_obj + i))
-    targets
+(* One prefetcher call on a fresh buffer: the (handle, object) pairs it
+   appended, in emission order. *)
+let call ?(scan = no_scan) p ~obj ~missed =
+  let b = R.Prefetcher.targets () in
+  R.Prefetcher.on_access p b ~obj ~missed ~scan;
+  R.Prefetcher.to_list b
+
+(* ...and just the objects. *)
+let objs_of ?scan p ~obj ~missed = List.map snd (call ?scan p ~obj ~missed)
+
+(* Does [l] hold [k] consecutive ascending objects somewhere? *)
+let has_run k l =
+  let rec go prev len = function
+    | [] -> len >= k
+    | o :: rest ->
+      if len >= k then true
+      else if o = prev + 1 then go o (len + 1) rest
+      else go o 1 rest
+  in
+  match l with [] -> k <= 0 | o :: rest -> go o 1 rest
 
 let test_stride_prefetcher_locks () =
   let p = R.Prefetcher.stride ~depth:3 in
   (* Feed a stride-1 stream; after the window fills it must predict
-     ahead, emitting the window as contiguous runs. *)
+     ahead, emitting the window as consecutive objects. *)
   let all = ref [] in
-  let runs = ref [] in
+  let calls = ref [] in
   for o = 0 to 9 do
-    let out = R.Prefetcher.on_access p ~obj:o ~missed:true ~scan:no_scan in
-    runs := !runs @ out;
-    all := !all @ objs_of out
+    let out = objs_of p ~obj:o ~missed:true in
+    calls := out :: !calls;
+    all := !all @ out
   done;
   (* The issued window must reach past the last access by the depth. *)
   check Alcotest.bool "window covers obj+depth" true
     (List.mem 10 !all && List.mem 11 !all && List.mem 12 !all);
-  (* Runs only ever point ahead of the access stream. *)
+  (* Targets only ever point ahead of the access stream. *)
   check Alcotest.bool "all targets ahead" true (List.for_all (fun o -> o >= 5) !all);
   (* No object is requested twice... *)
   check Alcotest.int "no duplicate objects"
     (List.length !all)
     (List.length (List.sort_uniq compare !all));
-  (* ...and the window arrives as real runs a batching fabric can
-     coalesce, not as per-object targets. *)
-  check Alcotest.bool "emits multi-object runs" true
-    (List.exists (fun (t : R.Prefetcher.target) -> t.t_len >= 3) !runs)
+  (* ...and the window arrives in chunks a batching fabric can
+     coalesce: one call appends at least three consecutive objects. *)
+  check Alcotest.bool "one call appends >= 3 consecutive objects" true
+    (List.exists (has_run 3) !calls)
 
 let test_stride_prefetcher_majority () =
   let p = R.Prefetcher.stride ~depth:2 in
   (* Mostly stride 2 with one hiccup: majority must still lock 2. *)
   List.iter
-    (fun o -> ignore (R.Prefetcher.on_access p ~obj:o ~missed:false ~scan:no_scan))
+    (fun o -> ignore (call p ~obj:o ~missed:false))
     [ 0; 2; 4; 6; 7; 9; 11; 13 ];
-  let out = R.Prefetcher.on_access p ~obj:15 ~missed:false ~scan:no_scan in
-  check (Alcotest.list Alcotest.int) "stride 2 locked" [ 17; 19 ] (objs_of out)
+  check (Alcotest.list Alcotest.int) "stride 2 locked" [ 17; 19 ]
+    (objs_of p ~obj:15 ~missed:false)
 
 let test_stride_prefetcher_random_stays_quiet () =
   let p = R.Prefetcher.stride ~depth:4 in
@@ -306,34 +320,47 @@ let test_stride_prefetcher_random_stays_quiet () =
   let noisy = ref 0 in
   for _ = 1 to 50 do
     let o = Cards_util.Rng.int rng 10_000 in
-    let out = R.Prefetcher.on_access p ~obj:o ~missed:true ~scan:no_scan in
-    noisy := !noisy + List.length (objs_of out)
+    noisy := !noisy + List.length (objs_of p ~obj:o ~missed:true)
   done;
   check Alcotest.bool "no majority, few prefetches" true (!noisy < 20)
 
 let test_greedy_scans_on_miss () =
   let p = R.Prefetcher.greedy ~fanout:2 in
-  let scan () =
-    [ { R.Prefetcher.t_ds = 2; t_obj = 7; t_len = 1 };
-      { R.Prefetcher.t_ds = 2; t_obj = 8; t_len = 1 };
-      { R.Prefetcher.t_ds = 2; t_obj = 9; t_len = 1 } ]
-  in
-  let out = R.Prefetcher.on_access p ~obj:0 ~missed:true ~scan in
+  let scan b _ = List.iter (R.Prefetcher.push b 2) [ 7; 8; 9 ] in
+  let out = call ~scan p ~obj:0 ~missed:true in
   check Alcotest.int "fanout bounded" 2 (List.length out);
-  let out2 = R.Prefetcher.on_access p ~obj:0 ~missed:false ~scan in
+  check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    "scan order, cross-structure handle kept" [ (2, 7); (2, 8) ] out;
+  let out2 = call ~scan p ~obj:0 ~missed:false in
   check Alcotest.int "no scan on hit" 0 (List.length out2)
 
 let test_jump_learns_second_traversal () =
   let p = R.Prefetcher.jump ~jump:2 ~depth:1 in
   let seq = [ 10; 20; 30; 40; 50 ] in
   (* First traversal: nothing useful predicted yet, table learns. *)
-  List.iter
-    (fun o -> ignore (R.Prefetcher.on_access p ~obj:o ~missed:true ~scan:no_scan))
-    seq;
+  List.iter (fun o -> ignore (call p ~obj:o ~missed:true)) seq;
   (* Second traversal: at 10 it should jump toward 30 (2 ahead). *)
-  let out = R.Prefetcher.on_access p ~obj:10 ~missed:true ~scan:no_scan in
   check Alcotest.bool "jump target learned" true
-    (List.exists (fun t -> t.R.Prefetcher.t_obj = 30) out)
+    (List.mem 30 (objs_of p ~obj:10 ~missed:true))
+
+let test_jump_window_farthest_first () =
+  (* The chain 1 -> 2 -> 3 -> 4 learned on the first traversal comes
+     back farthest object first: the degradation cut keeps a prefix. *)
+  let p = R.Prefetcher.jump ~jump:1 ~depth:3 in
+  List.iter (fun o -> ignore (call p ~obj:o ~missed:false)) [ 1; 2; 3; 4; 5 ];
+  check (Alcotest.list Alcotest.int) "farthest first" [ 4; 3; 2 ]
+    (objs_of p ~obj:1 ~missed:true)
+
+(* The in-place sort of a target buffer is [List.sort_uniq compare] on
+   its pairs, duplicates and all. *)
+let prop_targets_sort_uniq =
+  QCheck.Test.make ~name:"target buffer sort_uniq = List.sort_uniq" ~count:500
+    QCheck.(list (pair (int_range 0 3) (int_range 0 40)))
+    (fun pairs ->
+      let b = R.Prefetcher.targets () in
+      List.iter (fun (h, o) -> R.Prefetcher.push b h o) pairs;
+      R.Prefetcher.sort_uniq b;
+      R.Prefetcher.to_list b = List.sort_uniq compare pairs)
 
 let test_of_class () =
   check Alcotest.bool "no_prefetch -> none" true
@@ -1320,16 +1347,16 @@ let test_prefetcher_degenerate_structures () =
   let st = R.Prefetcher.stride ~depth:4 in
   for _ = 1 to 10 do
     check (Alcotest.list Alcotest.int) "repeated object: silent" []
-      (objs_of (R.Prefetcher.on_access st ~obj:5 ~missed:true ~scan:no_scan))
+      (objs_of st ~obj:5 ~missed:true)
   done;
   check Alcotest.int "calls observed" 10 (R.Prefetcher.calls st);
   check Alcotest.int "nothing emitted" 0 (R.Prefetcher.targets_emitted st);
   let g = R.Prefetcher.greedy ~fanout:4 in
   check (Alcotest.list Alcotest.int) "greedy on empty scan: silent" []
-    (objs_of (R.Prefetcher.on_access g ~obj:0 ~missed:true ~scan:no_scan));
+    (objs_of g ~obj:0 ~missed:true);
   let j = R.Prefetcher.jump ~jump:4 ~depth:2 in
   check (Alcotest.list Alcotest.int) "jump first touch: silent" []
-    (objs_of (R.Prefetcher.on_access j ~obj:0 ~missed:true ~scan:no_scan))
+    (objs_of j ~obj:0 ~missed:true)
 
 let test_stride_reversal_mid_run () =
   (* Ascend long enough to lock stride +1, then walk back down: the
@@ -1337,13 +1364,11 @@ let test_stride_reversal_mid_run () =
      new direction, and no target may ever go negative. *)
   let p = R.Prefetcher.stride ~depth:3 in
   for o = 0 to 9 do
-    ignore (R.Prefetcher.on_access p ~obj:o ~missed:false ~scan:no_scan)
+    ignore (call p ~obj:o ~missed:false)
   done;
   let saw_down = ref false and saw_neg = ref false in
   for o = 9 downto 0 do
-    let out =
-      objs_of (R.Prefetcher.on_access p ~obj:o ~missed:false ~scan:no_scan)
-    in
+    let out = objs_of p ~obj:o ~missed:false in
     if List.exists (fun t -> t < o) out then saw_down := true;
     if List.exists (fun t -> t < 0) out then saw_neg := true
   done;
@@ -1356,13 +1381,11 @@ let test_stride_frontier_snapback () =
      every prefetch on the re-traversal. *)
   let p = R.Prefetcher.stride ~depth:3 in
   for o = 0 to 99 do
-    ignore (R.Prefetcher.on_access p ~obj:o ~missed:false ~scan:no_scan)
+    ignore (call p ~obj:o ~missed:false)
   done;
   let second = ref [] in
   for o = 0 to 9 do
-    second :=
-      !second
-      @ objs_of (R.Prefetcher.on_access p ~obj:o ~missed:false ~scan:no_scan)
+    second := !second @ objs_of p ~obj:o ~missed:false
   done;
   check Alcotest.bool "re-traversal prefetches again" true
     (List.mem 3 !second && List.mem 5 !second)
@@ -1372,7 +1395,7 @@ let test_stride_hysteresis () =
      still inside the issued window stay silent until the frontier
      comes within depth of the access point. *)
   let p = R.Prefetcher.stride ~depth:4 in
-  let at o = objs_of (R.Prefetcher.on_access p ~obj:o ~missed:false ~scan:no_scan) in
+  let at o = objs_of p ~obj:o ~missed:false in
   for o = 0 to 3 do ignore (at o) done;
   (* The lock engages at obj 4 and emits the initial window. *)
   check Alcotest.bool "window issued at lock" true (at 4 <> []);
@@ -1464,6 +1487,8 @@ let suite =
     ("stride reversal mid-run", `Quick, test_stride_reversal_mid_run);
     ("stride frontier snap-back", `Quick, test_stride_frontier_snapback);
     ("stride hysteresis", `Quick, test_stride_hysteresis);
+    ("jump window farthest first", `Quick, test_jump_window_farthest_first);
+    qcheck prop_targets_sort_uniq;
     qcheck prop_fabric_completion_monotone;
     qcheck prop_addr_roundtrip;
     qcheck prop_addr_arith_stays_in_ds;
