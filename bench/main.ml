@@ -935,19 +935,6 @@ let bechamel () =
   let h = R.Runtime.ds_init rt ~sid:0 in
   let a = R.Runtime.ds_alloc rt ~handle:h ~size:4096 in
   R.Runtime.guard rt ~write:false a;
-  (* A second handle created 64 ds_init calls later lands in the same
-     slot of the 64-entry direct-mapped translation cache, so
-     alternating reads between the two evict each other: the conflict
-     row prices the fast path when every probe misses the cache and
-     refills it, against the hit row's single-probe cost and the
-     canonical path it would otherwise fall back to. *)
-  for _ = 1 to 63 do
-    ignore (R.Runtime.ds_init rt ~sid:0)
-  done;
-  let h2 = R.Runtime.ds_init rt ~sid:0 in
-  let a2 = R.Runtime.ds_alloc rt ~handle:h2 ~size:4096 in
-  R.Runtime.guard rt ~write:false a2;
-  let flip = ref false in
   let tests =
     [ Test.make ~name:"addr_encode_decode" (Staged.stage (fun () ->
           let x = R.Addr.encode ~ds:3 ~offset:512 in
@@ -956,11 +943,6 @@ let bechamel () =
           R.Runtime.guard rt ~write:false a));
       Test.make ~name:"heap_read_i64" (Staged.stage (fun () ->
           ignore (R.Runtime.read_i64 rt a)));
-      Test.make ~name:"read_i64_fast_tc_hit" (Staged.stage (fun () ->
-          ignore (R.Runtime.read_i64_fast rt a)));
-      Test.make ~name:"read_i64_fast_tc_conflict" (Staged.stage (fun () ->
-          flip := not !flip;
-          ignore (R.Runtime.read_i64_fast rt (if !flip then a else a2))));
       Test.make ~name:"custody_check_unmanaged" (Staged.stage (fun () ->
           R.Runtime.guard rt ~write:false 64)) ]
   in
@@ -1076,8 +1058,8 @@ let host () =
      the wall-clock ratio is asserted here, not gated there. *)
   record_experiment ~tag:"host-arith" ~cycles:res_d.M.cycles rt_d;
   (* Guard-heavy identity under the full CaRDS runtime: the fig9 list
-     chase drives the translation-cache fast path hard, and both
-     engines must agree on the whole result record. *)
+     chase drives the runtime's access path hard, and both engines
+     must agree on the whole result record. *)
   let pc =
     P.compile_source
       (W.Pointer_chase.source ~variant:"list" ~scale:1024 ~passes:2)

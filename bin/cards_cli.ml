@@ -544,6 +544,8 @@ let run_cmd =
         check_unit_interval "span-rate" span_rate;
         check_unit_interval "k" k;
         check_domains domains;
+        check_min "local" local ~min:0 ~need:"a non-negative size";
+        check_min "remotable" remotable ~min:0 ~need:"a non-negative size";
         check_min "qp" qp ~min:1 ~need:"at least one queue pair";
         check_min "retry-max" retry_max ~min:0
           ~need:"a non-negative retry count";

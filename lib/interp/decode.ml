@@ -17,16 +17,17 @@
        pre-built argument/result movers (no per-call list allocation),
      - [Runtime.set_site] pre-bound only on the runtime-entering
        opcodes (the reference interpreter matches on every one),
-     - guarded heap accesses routed through the runtime's fast path
-       ([Runtime.read_i64_fast] & friends): a resident hit costs one
-       translation-cache probe, everything else falls back to the
-       canonical slow path,
      - float loads, stores, moves and arithmetic on float registers
        (and float constants) reading and writing the float register
        file directly: a [frame -> float] reader boxes every float it
        returns, since nothing here is compiled with flambda,
      - the per-instruction charge compiled to two in-place adds on
        record fields bound once at decode time ([tick]), not a call.
+
+   Heap accesses call the runtime's one access path
+   ([Runtime.read_i64] & friends), the one the reference interpreter
+   calls too, so both engines share every line of residency, fault and
+   prefetch bookkeeping.
 
    Semantics are the reference interpreter's, bit for bit: same trap
    messages raised at the same execution points (never at decode
@@ -486,7 +487,7 @@ let dec_instr st (f : Func.t) fl table ~bid ~idx (ins : Instr.instr) : op =
       else
         fun fr ->
           Runtime.set_site rt ~fn ~block:bid ~instr:idx;
-          fr.ints.(r) <- Runtime.read_i64_fast rt fr.ints.(x)
+          fr.ints.(r) <- Runtime.read_i64 rt fr.ints.(x)
     | _ ->
       let rd = int_rd st addr in
       if f64 then
@@ -496,7 +497,7 @@ let dec_instr st (f : Func.t) fl table ~bid ~idx (ins : Instr.instr) : op =
       else
         fun fr ->
           Runtime.set_site rt ~fn ~block:bid ~instr:idx;
-          fr.ints.(r) <- Runtime.read_i64_fast rt (rd fr))
+          fr.ints.(r) <- Runtime.read_i64 rt (rd fr))
   | Instr.Store (ty, addr, v) ->
     let ra = int_rd st addr in
     if Types.equal ty Types.F64 then begin
@@ -506,8 +507,8 @@ let dec_instr st (f : Func.t) fl table ~bid ~idx (ins : Instr.instr) : op =
           Runtime.set_site rt ~fn ~block:bid ~instr:idx;
           Runtime.write_f64_from rt (ra fr) fr.floats x
       | _ ->
-        (* Any other operand shape takes the canonical store, which
-           accounts exactly like the fast path. *)
+        (* Any other operand shape: the value is not in a float
+           register, so it is read and stored as a float. *)
         let rv = float_rd st fl v in
         fun fr ->
           Runtime.set_site rt ~fn ~block:bid ~instr:idx;
@@ -519,13 +520,13 @@ let dec_instr st (f : Func.t) fl table ~bid ~idx (ins : Instr.instr) : op =
       | Instr.Reg x, Instr.Reg y ->
         fun fr ->
           Runtime.set_site rt ~fn ~block:bid ~instr:idx;
-          Runtime.write_i64_fast rt fr.ints.(x) fr.ints.(y)
+          Runtime.write_i64 rt fr.ints.(x) fr.ints.(y)
       | _ ->
         let rv = int_rd st v in
         fun fr ->
           Runtime.set_site rt ~fn ~block:bid ~instr:idx;
           let a = ra fr in
-          Runtime.write_i64_fast rt a (rv fr)
+          Runtime.write_i64 rt a (rv fr)
     end
   | Instr.Gep (r, base, idx_v, scale) -> (
     let c = st.cost.alu in

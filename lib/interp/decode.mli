@@ -5,8 +5,9 @@
     from [reg_tys], cost constants baked in, immediates converted from
     [Int64] once, callees linked to direct decoded-function references
     with pre-built argument movers, [Runtime.set_site] pre-bound only
-    on runtime-entering opcodes, and guarded heap accesses routed
-    through the runtime's translation-cache fast path.
+    on runtime-entering opcodes.  Heap accesses go through the
+    runtime's one access path, the one {!Machine}'s reference
+    interpreter takes.
 
     Semantics — output, traps, simulated cycles, runtime stats, stall
     attribution — are bit-identical to {!Machine}'s reference

@@ -12,8 +12,7 @@
       each function is compiled at load time into flat arrays of
       specialized closures (static decisions taken once: operand
       float-ness, cost constants, immediate conversion, direct callee
-      references with pre-built argument movers) and heap accesses take
-      the runtime's translation-cache fast path.
+      references with pre-built argument movers).
     - {!Reference}: the straightforward tree-walking interpreter kept
       as the oracle.
 

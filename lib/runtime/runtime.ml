@@ -1,5 +1,4 @@
 module Fabric = Cards_net.Fabric
-module Vec = Cards_util.Vec
 module Sink = Cards_obs.Sink
 module Event = Cards_obs.Event
 module Profile = Cards_obs.Profile
@@ -33,8 +32,6 @@ type config = {
      backoff between attempts; once [retry_max] retries are spent, it
      escalates to the fabric's reliable channel, which cannot fault. *)
   retry_max : int;
-  retry_backoff_cycles : int;     (* first backoff; doubles per retry *)
-  fetch_timeout_cycles : int;     (* per-attempt budget for late completions *)
   (* What-if execution knobs (Whatif.exec -> config via
      [whatif_config]): scaled fabric costs for inbound fetches,
      globally and per structure (static name, resolved at ds_init), and
@@ -68,10 +65,6 @@ let default_config =
     prefetch_bytes = None;
     batching = true;
     retry_max = 4;
-    retry_backoff_cycles = 4_096;
-    (* ~2.7x a nominal 4 KiB fetch: legitimate queueing never trips it
-       (the timeout only ever engages on late-faulted completions). *)
-    fetch_timeout_cycles = 150_000;
     cost_scale = Fabric.unit_scale;
     ds_cost_scales = [];
     pf_instant = false;
@@ -199,14 +192,12 @@ type t = {
   fabric : Fabric.t;
   infos : Static_info.t array;
   pref : bool array;              (* per sid: pinned preference *)
-  dss : ds Vec.t;                 (* handle h lives at index h-1 *)
-  tc : ds option array;           (* direct-mapped handle -> ds translation
-                                     cache behind [get_ds], the guard and
-                                     the access fast path.  Never
-                                     invalidated: handles are stable and
-                                     structure records are never replaced,
-                                     so an entry can only be missing, not
-                                     stale. *)
+  mutable dss : ds option array;  (* handle h's structure at index h:
+                                     handles are issued densely from 1
+                                     and never reused, so [None] marks
+                                     handle 0 (unmanaged) and the slots
+                                     past the last issued one *)
+  mutable n_ds : int;             (* handles issued so far *)
   mutable unmanaged_data : Bytes.t;
   mutable unmanaged_used : int;
   mutable pinned_used : int;
@@ -269,8 +260,12 @@ let fault_window_min = 32
 let degrade_max = 6
 let degrade_cooldown_len = 32
 
-let tc_slots = 64
-let tc_mask = tc_slots - 1
+(* Demand retries: the first backoff, doubled per retry up to 64x, and
+   the per-attempt budget of a late-faulted completion.  The budget is
+   ~2.7x a nominal 4 KiB fetch: legitimate queueing never trips it (the
+   timeout only ever engages on late-faulted completions). *)
+let retry_backoff_cycles = 4_096
+let fetch_timeout_cycles = 150_000
 
 let create ?(obs = Sink.null) cfg infos =
   if cfg.remotable_bytes > cfg.local_bytes then
@@ -297,8 +292,8 @@ let create ?(obs = Sink.null) cfg infos =
     fabric;
     infos;
     pref = Policy.pinned_preference cfg.policy ~infos ~k:cfg.k;
-    dss = Vec.create ();
-    tc = Array.make tc_slots None;
+    dss = Array.make 16 None;
+    n_ds = 0;
     unmanaged_data = Bytes.create 4096;
     unmanaged_used = 0;
     pinned_used = 0;
@@ -339,7 +334,7 @@ let clock t = t.clock
    observed and unobserved runs are cycle-identical.  [charge] writes
    both fields in place rather than calling into [Profile]: the
    decoded engine repeats these two adds inline on every instruction
-   (see decode.ml), and the fast path below charges every access. *)
+   (see decode.ml), and [resolve] below charges every access. *)
 let charge t c =
   t.clock.cycles <- t.clock.cycles + c;
   t.prof.Profile.p_compute <- t.prof.Profile.p_compute + c
@@ -354,23 +349,15 @@ let set_site t ~fn ~block ~instr =
   t.site_block <- block;
   t.site_instr <- instr
 
-(* The structure behind a handle through the translation cache; [None]
-   for handle 0 and handles never issued.  A hit returns the option
-   stored in the slot, so it allocates nothing. *)
-let tc_find t h =
-  let slot = h land tc_mask in
-  match t.tc.(slot) with
-  | Some d as hit when d.handle = h -> hit
-  | _ ->
-    if h >= 1 && h <= Vec.length t.dss then begin
-      let hit = Some (Vec.get t.dss (h - 1)) in
-      t.tc.(slot) <- hit;
-      hit
-    end
-    else None
+(* The structure behind a handle; [None] for handle 0 and handles never
+   issued.  It returns the option stored in the table, so it allocates
+   nothing.  Both are inlined: the guard and every access look up a
+   handle. *)
+let[@inline] find_ds t h =
+  if h >= 0 && h < Array.length t.dss then t.dss.(h) else None
 
-let get_ds t handle =
-  match tc_find t handle with
+let[@inline] get_ds t handle =
+  match find_ds t handle with
   | Some d -> d
   | None -> fail "bad handle %d" handle
 
@@ -378,9 +365,7 @@ let namespace t = t.cfg.namespace
 
 let ds_name t handle =
   let bare =
-    if handle >= 1 && handle <= Vec.length t.dss then
-      (Vec.get t.dss (handle - 1)).info.name
-    else "(unmanaged)"
+    match find_ds t handle with Some d -> d.info.name | None -> "(unmanaged)"
   in
   if t.cfg.namespace = "" then bare else t.cfg.namespace ^ "/" ^ bare
 
@@ -415,25 +400,25 @@ let pf_name (d : ds) =
 
 let sample_all t m =
   let cycle = t.clock.cycles in
-  Vec.iteri
-    (fun _ (d : ds) ->
-      Metrics.record m
-        { Metrics.m_cycle = cycle;
-          m_ds = d.handle;
-          m_name = d.info.name;
-          m_resident_bytes = d.pinned_bytes + d.resident_bytes;
-          m_guards = d.st.guards;
-          m_guard_hits = d.st.guard_hits;
-          m_remote_faults = d.st.remote_faults;
-          m_clean_faults = d.st.clean_faults;
-          m_pf_issued = d.st.prefetch_issued;
-          m_pf_used = d.st.prefetch_used;
-          m_pf_late = d.st.prefetch_late;
-          m_evictions = d.st.evictions;
-          m_fetched_bytes = d.st.fetched_bytes;
-          m_prefetcher = pf_name d;
-          m_pf_switches = d.pf_switches })
-    t.dss;
+  for h = 1 to t.n_ds do
+    let d = get_ds t h in
+    Metrics.record m
+      { Metrics.m_cycle = cycle;
+        m_ds = d.handle;
+        m_name = d.info.name;
+        m_resident_bytes = d.pinned_bytes + d.resident_bytes;
+        m_guards = d.st.guards;
+        m_guard_hits = d.st.guard_hits;
+        m_remote_faults = d.st.remote_faults;
+        m_clean_faults = d.st.clean_faults;
+        m_pf_issued = d.st.prefetch_issued;
+        m_pf_used = d.st.prefetch_used;
+        m_pf_late = d.st.prefetch_late;
+        m_evictions = d.st.evictions;
+        m_fetched_bytes = d.st.fetched_bytes;
+        m_prefetcher = pf_name d;
+        m_pf_switches = d.pf_switches }
+  done;
   Metrics.catch_up m ~now:cycle
 
 let maybe_sample t =
@@ -574,7 +559,7 @@ let scan_object_pointers t (d : ds) b o =
   while !w + 8 <= stop do
     let v = Int64.to_int (Bytes.get_int64_le d.data !w) in
     if v > 0 && Addr.is_managed v then begin
-      match tc_find t (Addr.ds_of v) with
+      match find_ds t (v lsr Addr.offset_bits) with
       | Some td ->
         let off = Addr.offset_of v in
         if off < td.pool_used then
@@ -587,7 +572,7 @@ let scan_object_pointers t (d : ds) b o =
 let ds_init t ~sid =
   if sid < 0 || sid >= Array.length t.infos then fail "ds_init: bad sid %d" sid;
   let info = t.infos.(sid) in
-  let handle = Vec.length t.dss + 1 in
+  let handle = t.n_ds + 1 in
   if handle > Addr.max_handle then fail "too many data structures";
   stall t ~ds:handle Attribution.Bookkeeping t.cfg.cost.ds_init;
   let depth = info_prefetch_depth t info in
@@ -629,7 +614,13 @@ let ds_init t ~sid =
       epoch_accesses = 0; epoch_issued = 0; epoch_used = 0; epoch_faults = 0;
       pf_switches = 0; scale; st; prof }
   in
-  ignore (Vec.push t.dss d);
+  if handle = Array.length t.dss then begin
+    let dss = Array.make (2 * handle) None in
+    Array.blit t.dss 0 dss 0 handle;
+    t.dss <- dss
+  end;
+  t.dss.(handle) <- Some d;
+  t.n_ds <- handle;
   handle
 
 let alloc_unmanaged t ~size =
@@ -1038,16 +1029,6 @@ let run_prefetcher t (d : ds) ~obj ~missed =
 
 (* ---------- the guard (cards_deref) ---------- *)
 
-(* The structure behind a managed address a real access dereferences;
-   a wild pointer fails.  The object is [offset lsr d.obj_shift]. *)
-let locate t addr =
-  let h = addr lsr Addr.offset_bits in
-  let d = get_ds t h in
-  let off = addr land Addr.max_offset in
-  if off >= d.pool_used then
-    fail "wild pointer: ds %d offset %d beyond pool (%d bytes)" h off d.pool_used;
-  d
-
 (* Wait for an in-flight object to land; returns true when the data
    was already there (the prefetch was timely). *)
 let settle_inflight t (d : ds) o =
@@ -1083,10 +1064,70 @@ let settle_inflight t (d : ds) o =
   end
   else true
 
-(* [span_parent >= 0] names the trap span whose handler issued this
-   fetch (the clean-fault path); the completion span then carries an
-   [E_trap] edge. *)
-let demand_fetch ?(span_parent = -1) t (d : ds) o =
+(* The attempt that delivered the data — the first clean one, or the
+   reliable channel's after an escalation — waits until its completion
+   plus the address-to-object mapping, charged as its root-cause split:
+   the fabric guarantees queued + proto + ser = t_complete - now, and
+   the mapping rides with the protocol overhead.  [root >= 0] is the
+   occasion's sampled completion span. *)
+let land_fetch t (d : ds) o (tr : Fabric.transfer) ~start ~root ~span_parent
+    ~escalated =
+  let queued = tr.Fabric.t_queued in
+  let proto = tr.Fabric.t_proto + t.cfg.cost.deref_map in
+  stall t ~ds:d.handle (Attribution.Queue tr.Fabric.t_qp) queued;
+  stall t ~ds:d.handle Attribution.Proto proto;
+  stall t ~ds:d.handle Attribution.Wire tr.Fabric.t_ser;
+  (* Latency is end-to-end: failed attempts and backoffs included. *)
+  let waited = t.clock.cycles - start in
+  Profile.record_latency d.prof waited;
+  d.objs.(o) <- d.objs.(o) lor b_resident;
+  d.st.remote_faults <- d.st.remote_faults + 1;
+  d.epoch_faults <- d.epoch_faults + 1;
+  if t.tracing then
+    Sink.emit t.obs
+      (Event.make ~cycle:start ~ds:d.handle ~obj:o
+         (Event.Remote_fault { queued; stall = waited }));
+  emit_qp_busy t ~ds:d.handle ~obj:o tr;
+  (* The completion span mirrors the three ledger charges above
+     field for field: queued -> Queue t_qp, proto + mapping ->
+     Proto, ser -> Wire. *)
+  (match t.spans with
+  | Some c when root >= 0 ->
+    Span.add c
+      (mk_span t ~id:root
+         ~kind:(if escalated then Span.Escalated else Span.Demand)
+         ~parent:span_parent
+         ?edge:(if span_parent >= 0 then Some Span.E_trap else None)
+         ~ds:d.handle ~obj:o ~issued:start ~start:tr.Fabric.t_start
+         ~complete:t.clock.cycles ~queued ~proto ~wire:tr.Fabric.t_ser
+         ~qp:tr.Fabric.t_qp ~bytes:(obj_size d)
+         ?fault:(Option.map Fabric.fault_kind_name tr.Fabric.t_fault) ());
+    t.cur_span <- root
+  | _ -> ());
+  clock_insert t d o
+
+(* Close one failed attempt of a sampled occasion as a Retry span.  The
+   clock moved from [issued] only through that attempt's Retry stalls,
+   so the span's [retry] is exactly its ledger charge. *)
+let retry_span t (d : ds) o ~root ~issued ~fault =
+  match t.spans with
+  | Some c when root >= 0 && t.clock.cycles > issued ->
+    let id = Span.fresh c in
+    Span.add c
+      (mk_span t ~id ~kind:Span.Retry ~parent:root ~edge:Span.E_retry
+         ~ds:d.handle ~obj:o ~issued ~start:issued ~complete:t.clock.cycles
+         ~retry:(t.clock.cycles - issued) ~bytes:(obj_size d) ?fault ())
+  | _ -> ()
+
+(* A demand miss, one attempt per iteration.  A failed attempt — a
+   NACK, or a late completion past [fetch_timeout_cycles] — is stalled,
+   noted and backed off, and the cycles it burned land in the ledger's
+   Retry cause.  Once [retry_max] retries are spent the reliable
+   channel, which cannot fault, guarantees forward progress at any
+   fault rate.  [span_parent >= 0] names the trap span whose handler
+   issued this fetch (the clean-fault path); the completion span then
+   carries an [E_trap] edge. *)
+let demand_fetch t (d : ds) o ~span_parent =
   let start = t.clock.cycles in
   let osz = obj_size d in
   (* One sampling decision covers the whole occasion — the completion
@@ -1094,144 +1135,77 @@ let demand_fetch ?(span_parent = -1) t (d : ds) o =
      The root id is allocated up front: retry spans complete (and are
      added) before the fetch they delayed, but must point forward at
      it, and parent < child keeps the edge relation acyclic. *)
-  let sc =
-    match t.spans with Some c when Span.sampled c -> Some c | _ -> None
+  let root =
+    match t.spans with Some c when Span.sampled c -> Span.fresh c | _ -> -1
   in
-  let root = match sc with Some c -> Span.fresh c | None -> -1 in
-  let att_start = ref start in
-  let att_retry = ref 0 in
-  let att_fault = ref None in
-  let escalated = ref false in
-  (* Cycles burned off the happy path — NACK turnarounds, abandoned
-     late completions, backoff waits — are real CPU stall and land in
-     their own ledger cause. *)
-  let retry_stall c =
-    if c > 0 then begin
-      stall t ~ds:d.handle Attribution.Retry c;
-      att_retry := !att_retry + c
-    end
-  in
-  (* Close one failed attempt as a Retry span: every cycle
-     [retry_stall] charged since the previous flush, which is exactly
-     the ledger's Retry charges — the reconciliation is per-cycle. *)
-  let flush_retry () =
-    (match sc with
-    | Some c when !att_retry > 0 ->
-      let id = Span.fresh c in
-      Span.add c
-        (mk_span t ~id ~kind:Span.Retry ~parent:root ~edge:Span.E_retry
-           ~ds:d.handle ~obj:o ~issued:!att_start ~start:!att_start
-           ~complete:t.clock.cycles ~retry:!att_retry ~bytes:osz ?fault:!att_fault
-           ())
-    | _ -> ());
-    att_retry := 0;
-    att_fault := None;
-    att_start := t.clock.cycles
-  in
-  (* The attempt that delivered the data waits until its completion
-     plus the address-to-object mapping, charged as its root-cause
-     split: the fabric guarantees queued + proto + ser = t_complete -
-     now, and the mapping rides with the protocol overhead. *)
-  let finish (tr : Fabric.transfer) =
-    let queued = tr.Fabric.t_queued in
-    let proto = tr.Fabric.t_proto + t.cfg.cost.deref_map in
-    stall t ~ds:d.handle (Attribution.Queue tr.Fabric.t_qp) queued;
-    stall t ~ds:d.handle Attribution.Proto proto;
-    stall t ~ds:d.handle Attribution.Wire tr.Fabric.t_ser;
-    (* Latency is end-to-end: failed attempts and backoffs included. *)
-    let waited = t.clock.cycles - start in
-    Profile.record_latency d.prof waited;
-    d.objs.(o) <- d.objs.(o) lor b_resident;
-    d.st.remote_faults <- d.st.remote_faults + 1;
-    d.epoch_faults <- d.epoch_faults + 1;
-    if t.tracing then
-      Sink.emit t.obs
-        (Event.make ~cycle:start ~ds:d.handle ~obj:o
-           (Event.Remote_fault { queued; stall = waited }));
-    emit_qp_busy t ~ds:d.handle ~obj:o tr;
-    (* The completion span mirrors the three ledger charges above
-       field for field: queued -> Queue t_qp, proto + mapping ->
-       Proto, ser -> Wire. *)
-    (match sc with
-    | Some c ->
-      Span.add c
-        (mk_span t ~id:root
-           ~kind:(if !escalated then Span.Escalated else Span.Demand)
-           ~parent:span_parent
-           ?edge:(if span_parent >= 0 then Some Span.E_trap else None)
-           ~ds:d.handle ~obj:o ~issued:start ~start:tr.Fabric.t_start
-           ~complete:t.clock.cycles ~queued ~proto ~wire:tr.Fabric.t_ser
-           ~qp:tr.Fabric.t_qp ~bytes:osz
-           ?fault:(Option.map Fabric.fault_kind_name tr.Fabric.t_fault) ());
-      t.cur_span <- root
-    | None -> ());
-    clock_insert t d o
-  in
-  let rec attempt n =
-    match
-      Fabric.fetch_attempt t.fabric ~scale:d.scale ~now:t.clock.cycles
-        ~bytes:osz
-    with
-    | Error f ->
-      (* The CPU waited for the NACK: queueing + protocol turnaround. *)
-      retry_stall (f.Fabric.f_fail - t.clock.cycles);
-      if sc <> None then att_fault := Some "transient";
-      note_attempt t ~ds:d.handle ~obj:o (Some Fabric.Transient);
-      backoff n
-    | Ok tr -> (
-      (* The fabric counted this transfer's bytes the moment it
-         completed [Ok] — even a late completion we abandon below
-         still crossed the wire — so the per-structure mirror bumps
-         here, not in [finish]. *)
-      d.st.fetched_bytes <- d.st.fetched_bytes + osz;
-      match tr.Fabric.t_fault with
-      | Some Fabric.Late
-        when n < t.cfg.retry_max
-             && tr.Fabric.t_complete - t.clock.cycles > t.cfg.fetch_timeout_cycles ->
-        (* The congested completion blew the per-fetch budget: give up
-           on it after [fetch_timeout_cycles] and re-issue.  Only
-           late-faulted attempts can time out — legitimate queueing
-           never trips this, so a healthy loaded fabric cannot start a
-           retry storm. *)
-        note_attempt t ~ds:d.handle ~obj:o (Some Fabric.Late);
-        Rt_stats.note_timeout t.stats;
+  let n = ref 0 and issued = ref start and landed = ref false in
+  while not !landed do
+    (* A failed attempt's fault, for its Retry span; [None] once an
+       attempt has delivered the data. *)
+    let failed =
+      match
+        Fabric.fetch_attempt t.fabric ~scale:d.scale ~now:t.clock.cycles
+          ~bytes:osz
+      with
+      | Error f ->
+        (* The CPU waited for the NACK: queueing + protocol turnaround. *)
+        let c = f.Fabric.f_fail - t.clock.cycles in
+        if c > 0 then stall t ~ds:d.handle Attribution.Retry c;
+        note_attempt t ~ds:d.handle ~obj:o (Some Fabric.Transient);
+        Some "transient"
+      | Ok tr -> (
+        (* The fabric counted this transfer's bytes the moment it
+           completed [Ok] — even a late completion abandoned below
+           still crossed the wire — so the per-structure mirror bumps
+           here, not in [land_fetch]. *)
+        d.st.fetched_bytes <- d.st.fetched_bytes + osz;
+        match tr.Fabric.t_fault with
+        | Some Fabric.Late
+          when !n < t.cfg.retry_max
+               && tr.Fabric.t_complete - t.clock.cycles > fetch_timeout_cycles ->
+          (* Only late-faulted attempts can time out — legitimate
+             queueing never trips this, so a healthy loaded fabric
+             cannot start a retry storm. *)
+          note_attempt t ~ds:d.handle ~obj:o (Some Fabric.Late);
+          Rt_stats.note_timeout t.stats;
+          if t.tracing then
+            Sink.emit t.obs
+              (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:o
+                 (Event.Fetch_timeout { budget = fetch_timeout_cycles }));
+          stall t ~ds:d.handle Attribution.Retry fetch_timeout_cycles;
+          Some "late"
+        | kind ->
+          note_attempt t ~ds:d.handle ~obj:o kind;
+          land_fetch t d o tr ~start ~root ~span_parent ~escalated:false;
+          landed := true;
+          None)
+    in
+    if not !landed then
+      if !n >= t.cfg.retry_max then begin
+        Rt_stats.note_escalation t.stats;
+        retry_span t d o ~root ~issued:!issued ~fault:failed;
+        d.st.fetched_bytes <- d.st.fetched_bytes + osz;
+        land_fetch t d o
+          (Fabric.fetch_reliable t.fabric ~scale:d.scale ~now:t.clock.cycles
+             ~bytes:osz)
+          ~start ~root ~span_parent ~escalated:true;
+        landed := true;
+        maybe_postmortem t
+          ~reason:"demand fetch escalated to the reliable channel"
+      end
+      else begin
+        let wait = retry_backoff_cycles lsl min !n 6 in
+        Rt_stats.note_retry t.stats;
         if t.tracing then
           Sink.emit t.obs
             (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:o
-               (Event.Fetch_timeout { budget = t.cfg.fetch_timeout_cycles }));
-        retry_stall t.cfg.fetch_timeout_cycles;
-        if sc <> None then att_fault := Some "late";
-        backoff n
-      | fault ->
-        note_attempt t ~ds:d.handle ~obj:o fault;
-        finish tr)
-  and backoff n =
-    if n >= t.cfg.retry_max then begin
-      (* Retries exhausted: the reliable channel cannot fault, so
-         forward progress is guaranteed at any fault rate. *)
-      Rt_stats.note_escalation t.stats;
-      flush_retry ();
-      escalated := true;
-      d.st.fetched_bytes <- d.st.fetched_bytes + osz;
-      finish
-        (Fabric.fetch_reliable t.fabric ~scale:d.scale ~now:t.clock.cycles
-           ~bytes:osz)
-    end
-    else begin
-      let wait = t.cfg.retry_backoff_cycles lsl min n 6 in
-      Rt_stats.note_retry t.stats;
-      if t.tracing then
-        Sink.emit t.obs
-          (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:o
-             (Event.Retry_backoff { attempt = n + 1; wait }));
-      retry_stall wait;
-      flush_retry ();
-      attempt (n + 1)
-    end
-  in
-  attempt 0;
-  if !escalated then
-    maybe_postmortem t ~reason:"demand fetch escalated to the reliable channel"
+               (Event.Retry_backoff { attempt = !n + 1; wait }));
+        stall t ~ds:d.handle Attribution.Retry wait;
+        retry_span t d o ~root ~issued:!issued ~fault:failed;
+        issued := t.clock.cycles;
+        incr n
+      end
+  done
 
 let note_prefetch_hit t (d : ds) o ~timely =
   let st = d.objs.(o) in
@@ -1274,7 +1248,7 @@ let note_prefetch_hit t (d : ds) o ~timely =
 
 let guard t ~write addr =
   let off = addr land Addr.max_offset in
-  match tc_find t (addr lsr Addr.offset_bits) with
+  match find_ds t (addr lsr Addr.offset_bits) with
   | Some d when off < d.pool_used ->
     let o = off lsr d.obj_shift in
     d.st.guards <- d.st.guards + 1;
@@ -1302,7 +1276,7 @@ let guard t ~write addr =
         if t.tracing then
           Sink.emit t.obs
             (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:o Event.Guard_miss);
-        demand_fetch t d o;
+        demand_fetch t d o ~span_parent:(-1);
         true
       end
     in
@@ -1337,7 +1311,10 @@ let loop_check t addrs =
 
 (* ---------- data accesses ---------- *)
 
-(* Unguarded fallback: trap, then behave like a demand fault. *)
+(* Unguarded fallback on a non-resident object: trap, then demand-fetch
+   it.  Never called on an object in flight: [mark_prefetched] sets
+   [b_resident] with [b_inflight], and eviction skips in-flight
+   objects. *)
 let clean_fault t (d : ds) o ~write =
   let start = t.clock.cycles in
   let c =
@@ -1347,8 +1324,8 @@ let clean_fault t (d : ds) o ~write =
   in
   stall t ~ds:d.handle Attribution.Trap c;
   (* The trap span owns exactly the Trap charge above; the nested
-     demand fetch (if any) becomes its child via [E_trap], with the
-     trap id allocated first so parent < child holds. *)
+     demand fetch becomes its child via [E_trap], with the trap id
+     allocated first so parent < child holds. *)
   let trap_sp =
     match t.spans with
     | Some col when Span.sampled col ->
@@ -1360,31 +1337,39 @@ let clean_fault t (d : ds) o ~write =
       id
     | _ -> -1
   in
-  ignore (settle_inflight t d o);
-  if d.objs.(o) land b_resident = 0 then
-    demand_fetch ~span_parent:trap_sp t d o;
+  demand_fetch t d o ~span_parent:trap_sp;
   d.st.clean_faults <- d.st.clean_faults + 1;
-  (* The span covers trap + settle + fetch; a nested [Remote_fault]
-     span appears inside it when the object had to be demand-fetched. *)
+  (* The event covers trap + fetch; the nested [Remote_fault] appears
+     inside it. *)
   if t.tracing then
     Sink.emit t.obs
       (Event.make ~cycle:start ~ds:d.handle ~obj:o
          (Event.Clean_fault { stall = t.clock.cycles - start }))
 
-(* Returns the access's backing bytes; its offset in them is
-   [Addr.offset_of addr].  Returning the one pointer allocates nothing,
-   where a (bytes, offset) pair cost five words per access. *)
+(* The one access path, for both engines.  Returns the access's backing
+   bytes; its offset in them is [Addr.offset_of addr].  A resident
+   object that is not in flight costs one table lookup and one masked
+   compare; a non-resident one traps into [clean_fault] and an in-flight
+   one settles its prefetch, both before the access is charged.
+   Returning the one pointer allocates nothing, where a (bytes, offset)
+   pair cost five words per access. *)
 let resolve t addr ~write =
   let off = addr land Addr.max_offset in
-  if addr lsr Addr.offset_bits <> 0 then begin
-    let d = locate t addr in
+  let h = addr lsr Addr.offset_bits in
+  if h <> 0 then begin
+    let d = get_ds t h in
+    if off >= d.pool_used then
+      fail "wild pointer: ds %d offset %d beyond pool (%d bytes)" h off
+        d.pool_used;
     let o = off lsr d.obj_shift in
     d.st.plain_accesses <- d.st.plain_accesses + 1;
     let st = d.objs.(o) in
-    if st land b_resident = 0 then clean_fault t d o ~write
-    else if st land b_inflight <> 0 then begin
-      let timely = settle_inflight t d o in
-      note_prefetch_hit t d o ~timely
+    if st land (b_resident lor b_inflight) <> b_resident then begin
+      if st land b_resident = 0 then clean_fault t d o ~write
+      else begin
+        let timely = settle_inflight t d o in
+        note_prefetch_hit t d o ~timely
+      end
     end;
     charge t t.cfg.cost.mem_access;
     let bits = if write then b_ref lor b_dirty else b_ref in
@@ -1419,85 +1404,17 @@ let write_f64 t addr v =
   let data = resolve t addr ~write:true in
   Bytes.set_int64_le data (addr land Addr.max_offset) (Int64.bits_of_float v)
 
-(* ---------- the decoded engine's access fast path ---------- *)
-
-(* The CaRDS idea applied to the simulator itself: [resolve] re-does
-   per access work whose answer cannot change — the handle -> structure
-   mapping.  The fast path answers it from the direct-mapped
-   translation cache and inlines the one dynamic decision that remains,
-   the residency check; a resident local hit then costs one probe, one
-   flag check and the same accounting as [resolve]'s happy case, and
-   allocates nothing.  Anything else — non-resident, in flight, beyond
-   the pool, a wild unmanaged offset — falls back to the canonical path
-   *before touching any counter or the clock*, so cycles, stats and
-   attribution are bit-identical by construction whichever path an
-   access takes.
-
-   Cache safety: handles are dense and stable, structure records are
-   created once and never replaced, and a pool only grows — so a cached
-   entry can be missing but never stale, and residency/in-flight state
-   is read fresh from [objs] on every access. *)
-
-(* [resolve_fast]'s "take the slow path" answer.  A hit's bytes are
-   never this buffer: they hold at least the 8 bytes being accessed. *)
-let slow_path = Bytes.empty
-
-(* Returns the backing bytes of a local hit, like [resolve];
-   [slow_path] means "take the slow path", with no observable action
-   performed yet. *)
-let resolve_fast t addr ~write =
-  let off = addr land Addr.max_offset in
-  let h = addr lsr Addr.offset_bits in
-  if h <> 0 then
-    match tc_find t h with
-    | Some d when off < d.pool_used ->
-      let o = off lsr d.obj_shift in
-      let st = d.objs.(o) in
-      if st land (b_resident lor b_inflight) = b_resident then begin
-        d.st.plain_accesses <- d.st.plain_accesses + 1;
-        charge t t.cfg.cost.mem_access;
-        d.objs.(o) <- st lor (if write then b_ref lor b_dirty else b_ref);
-        maybe_sample t;
-        d.data
-      end
-      else slow_path
-    | _ -> slow_path
-  else if off + 8 > t.unmanaged_used then slow_path
-  else begin
-    let u = t.unmanaged_st in
-    u.plain_accesses <- u.plain_accesses + 1;
-    charge t t.cfg.cost.mem_access;
-    maybe_sample t;
-    t.unmanaged_data
-  end
-
-let read_i64_fast t addr =
-  let data = resolve_fast t addr ~write:false in
-  if data != slow_path then
-    Int64.to_int (Bytes.get_int64_le data (addr land Addr.max_offset))
-  else read_i64 t addr
-
-let write_i64_fast t addr v =
-  let data = resolve_fast t addr ~write:true in
-  if data != slow_path then
-    Bytes.set_int64_le data (addr land Addr.max_offset) (Int64.of_int v)
-  else write_i64 t addr v
-
 (* The float accesses move the value between the heap and a register
    file slot, so no boxed float crosses a call. *)
 let read_f64_into t addr (regs : float array) r =
-  let data = resolve_fast t addr ~write:false in
-  if data != slow_path then
-    regs.(r) <-
-      Int64.float_of_bits (Bytes.get_int64_le data (addr land Addr.max_offset))
-  else regs.(r) <- read_f64 t addr
+  let data = resolve t addr ~write:false in
+  regs.(r) <-
+    Int64.float_of_bits (Bytes.get_int64_le data (addr land Addr.max_offset))
 
 let write_f64_from t addr (regs : float array) r =
-  let data = resolve_fast t addr ~write:true in
-  if data != slow_path then
-    Bytes.set_int64_le data (addr land Addr.max_offset)
-      (Int64.bits_of_float regs.(r))
-  else write_f64 t addr regs.(r)
+  let data = resolve t addr ~write:true in
+  Bytes.set_int64_le data (addr land Addr.max_offset)
+    (Int64.bits_of_float regs.(r))
 
 (* ---------- introspection ---------- *)
 
@@ -1517,8 +1434,8 @@ type ds_report = {
 }
 
 let report t =
-  List.map
-    (fun (d : ds) ->
+  List.init t.n_ds (fun i ->
+      let d = get_ds t (i + 1) in
       { r_handle = d.handle;
         r_sid = d.info.sid;
         r_name = d.info.name;
@@ -1532,7 +1449,6 @@ let report t =
           (match d.pf with Some p -> Prefetcher.targets_emitted p | None -> 0);
         r_pf_switches = d.pf_switches;
         r_stats = d.st })
-    (Vec.to_list t.dss)
 
 let stats t = t.stats
 let fabric_stats t = Fabric.stats t.fabric

@@ -56,15 +56,12 @@ type config = {
           issues per object *)
   retry_max : int;
       (** demand-fetch retries before escalating to the fabric's
-          reliable channel (only reachable under fault injection) *)
-  retry_backoff_cycles : int;
-      (** backoff before the first retry; doubles per retry (capped at
-          64x) *)
-  fetch_timeout_cycles : int;
-      (** per-attempt budget: a {e late-faulted} completion exceeding
-          it is abandoned and the fetch re-issued.  Legitimate
-          queueing never trips it, so a healthy loaded fabric cannot
-          start a retry storm. *)
+          reliable channel (only reachable under fault injection).
+          Each retry first backs off 4,096 cycles, doubling per retry
+          (capped at 64x).  A {e late-faulted} completion more than
+          150,000 cycles away is abandoned and the fetch re-issued;
+          legitimate queueing never trips that budget, so a healthy
+          loaded fabric cannot start a retry storm. *)
   cost_scale : Cards_net.Fabric.scale;
       (** what-if cost multiplier applied to every inbound fetch
           (default {!Cards_net.Fabric.unit_scale}, which is
@@ -94,8 +91,8 @@ type config = {
 val default_config : config
 (** CaRDS defaults: linear policy, k = 1, 64 MiB local / 8 MiB
     remotable, CaRDS costs, per-class prefetch, depth 4, batching on
-    over two inbound queue pairs; 4 retries, 4 Ki-cycle initial
-    backoff, 150 K-cycle fetch timeout; no what-if perturbation. *)
+    over two inbound queue pairs; 4 retries; no what-if
+    perturbation. *)
 
 val whatif_config : config -> Cards_obs.Whatif.exec -> config option
 (** Map an executable what-if scenario onto a perturbed copy of the
@@ -164,26 +161,24 @@ val read_i64 : t -> int -> int
 val write_i64 : t -> int -> int -> unit
 val read_f64 : t -> int -> float
 val write_f64 : t -> int -> float -> unit
-
-val read_i64_fast : t -> int -> int
-val write_i64_fast : t -> int -> int -> unit
-(** Accounting-identical fast-path variants used by the pre-decoded
-    execution engine.  A resident local access resolves its structure
-    through a small direct-mapped handle translation cache and costs
-    one probe plus one residency flag check, with no allocation; any
-    other case — non-resident, in flight, wild — falls back to the
-    canonical functions above before touching any counter, so
-    simulated cycles, stats and attribution are bit-identical whichever
-    path is taken. *)
+(** Heap accesses, one path for both execution engines.  The handle in
+    the address indexes the structure table directly; an access to a
+    resident object that is not in flight costs that lookup plus one
+    residency flag check, and the integer ones allocate nothing.  A
+    non-resident object takes the trap-and-fetch fallback and an
+    in-flight one waits for its prefetch, both before the access is
+    charged.
+    @raise Runtime_error on a handle never issued, a managed offset
+    beyond its pool, or an unmanaged offset beyond the segment. *)
 
 val read_f64_into : t -> int -> float array -> int -> unit
-(** [read_f64_into t addr regs r] is [regs.(r) <- read_f64 t addr] on
-    the fast path: the value goes straight into the register file, so
-    no boxed float is returned. *)
+(** [read_f64_into t addr regs r] is [regs.(r) <- read_f64 t addr]
+    with the value going straight into the register file, so no boxed
+    float is returned. *)
 
 val write_f64_from : t -> int -> float array -> int -> unit
-(** [write_f64_from t addr regs r] is [write_f64 t addr regs.(r)] on
-    the fast path, reading the value from the register file. *)
+(** [write_f64_from t addr regs r] is [write_f64 t addr regs.(r)],
+    reading the value from the register file. *)
 
 val alloc_unmanaged : t -> size:int -> int
 (** Reserve unmanaged storage (globals segment). *)

@@ -1,7 +1,6 @@
-(** Growable arrays (OCaml 5.1 predates [Dynarray]).
-
-    The DSA node arena and the runtime's per-data-structure object
-    tables both grow dynamically; this is the shared backing store. *)
+(** Growable arrays (OCaml 5.1 predates [Dynarray]): the backing
+    store of the DSA node arena, the IR rewriter's register and block
+    tables, and the span and metrics collectors. *)
 
 type 'a t
 

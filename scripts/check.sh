@@ -152,6 +152,8 @@ for args in "run examples/minic/listing1.mc --qp 0" "serve --quantum 0" \
     "run examples/minic/listing1.mc --trace-capacity 0" \
     "run examples/minic/listing1.mc --trace-capacity=-5" \
     "run examples/minic/listing1.mc --retry-max=-1" \
+    "run examples/minic/listing1.mc --policy all-remotable --remotable=-5" \
+    "run examples/minic/listing1.mc --local=-5" \
     "workload analytics --scale=-5" "workload analytics --scale 0"; do
   status=0
   # shellcheck disable=SC2086 # word-split the flag list on purpose
@@ -165,13 +167,15 @@ for args in "run examples/minic/listing1.mc --qp 0" "serve --quantum 0" \
 done
 
 echo "== allocation ceiling: minor words per interpreted instruction"
-# The decoded engine's per-instruction charge, guard hits, fast-path
-# accesses and prefetch issue allocate nothing, so a whole run
-# allocates about one minor word per instruction (call frames, demand
-# misses, setup).  Fail above 1.5 words per instruction.  The built
-# binary runs directly: dune exec is an OCaml program itself, and its
-# own allocation would count.
+# The decoded engine's per-instruction charge, guard hits, heap
+# accesses and prefetch issue allocate nothing and a demand miss a
+# bounded few words, so a whole run allocates about one minor word per
+# instruction (call frames, demand misses, setup).  Fail above 1.5
+# words per instruction.  With --prefetch none every remote fault is a
+# demand miss.  The built binary runs directly: dune exec is an OCaml
+# program itself, and its own allocation would count.
 for pol in "--policy all-remotable --local 1M --remotable 768K" \
+    "--policy all-remotable --local 1M --remotable 768K --prefetch none" \
     "--policy all-local"; do
   # shellcheck disable=SC2086 # word-split the flag list on purpose
   OCAMLRUNPARAM=v=0x400 _build/default/bin/cards_cli.exe run \

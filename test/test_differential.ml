@@ -14,13 +14,13 @@
      Profile.compute + Attribution.total = Runtime.now
 
    Each cell additionally runs under BOTH execution engines — the
-   pre-decoded engine (with its runtime fast path) and the reference
-   tree-walking interpreter — and the two must agree bit for bit on
-   output, return value, simulated cycles, instruction count, the full
-   runtime stats record, and the stall ledger's cause decomposition.
-   The decoded engine takes different code paths by design (closure
-   arrays, translation-cache accesses); this is what proves they are
-   observationally the same machine.
+   pre-decoded engine and the reference tree-walking interpreter — and
+   the two must agree bit for bit on output, return value, simulated
+   cycles, instruction count, the full runtime stats record, and the
+   stall ledger's cause decomposition.  The engines share the runtime's
+   one access path but interpret differently by design (closure arrays
+   against a tree walk); this is what proves they are observationally
+   the same machine.
 
    A wrong answer anywhere in the matrix is a retry bug (dropped or
    double-applied fetch), a degradation bug (prefetch suppression

@@ -995,7 +995,7 @@ let test_metrics_csv_shape () =
         (cols l))
     lines
 
-(* The allocation-free hot path, measured: guard hits, fast-path
+(* The allocation-free hot path, measured: guard hits, heap
    accesses, prefetch issue that sends nothing and the ledger must not
    allocate a single word, and a sink without a span collector must
    add nothing.  Each loop is timed as the delta between N and 2N
@@ -1057,12 +1057,12 @@ let test_spans_off_allocation_free () =
   in
   check Alcotest.bool "span-less sink adds no allocation" true
     (Float.abs (off -. base) < eps);
-  (* Fast-path i64 accesses, and f64 ones through the register file. *)
+  (* i64 accesses, and f64 ones through the register file. *)
   let rt, a = mk_rt None in
-  zero "fast-path i64 read"
-    (minor_words_per_iter (fun () -> ignore (R.Runtime.read_i64_fast rt a)) n);
-  zero "fast-path i64 write"
-    (minor_words_per_iter (fun () -> R.Runtime.write_i64_fast rt a 42) n);
+  zero "i64 read"
+    (minor_words_per_iter (fun () -> ignore (R.Runtime.read_i64 rt a)) n);
+  zero "i64 write"
+    (minor_words_per_iter (fun () -> R.Runtime.write_i64 rt a 42) n);
   let regs = Array.make 2 1.5 in
   zero "f64 store from the register file"
     (minor_words_per_iter (fun () -> R.Runtime.write_f64_from rt a regs 0) n);
@@ -1102,6 +1102,38 @@ let test_spans_off_allocation_free () =
   in
   zero "guard hits alternating between two sites"
     (minor_words_per_iter two_sites n)
+
+(* A demand miss allocates a bounded handful of words: the fabric's
+   transfer record, the queue-pair cause of its ledger charge and the
+   latency histogram's boxed floats.  Guards cycle over a 64-object
+   pool behind a 2-object remotable cache with prefetching off, so
+   every guard misses. *)
+let test_demand_miss_allocation () =
+  let rt =
+    R.Runtime.create
+      { R.Runtime.default_config with
+        policy = R.Policy.All_remotable; k = 0.0;
+        local_bytes = 1024 * 1024; remotable_bytes = 2 * 4096;
+        prefetch_mode = R.Runtime.Pf_none }
+      [| R.Static_info.default ~sid:0 |]
+  in
+  let h = R.Runtime.ds_init rt ~sid:0 in
+  let a = R.Runtime.ds_alloc rt ~handle:h ~size:(64 * 4096) in
+  let i = ref 0 in
+  let miss () =
+    R.Runtime.guard rt ~write:false (a + ((!i land 63) * 4096));
+    incr i
+  in
+  let words = minor_words_per_iter miss 10_000 in
+  let faults () =
+    (R.Rt_stats.total (R.Runtime.stats rt)).R.Rt_stats.remote_faults
+  in
+  let before = faults () in
+  for _ = 1 to 128 do miss () done;
+  check Alcotest.int "every guard misses" 128 (faults () - before);
+  check Alcotest.bool
+    (Printf.sprintf "a demand miss allocates at most 32 words (%.1f)" words)
+    true (words <= 32.0)
 
 (* The decoded engine end to end: a call-free MiniC loop of guarded
    i64 and f64 loads and stores and float-register arithmetic.  Its
@@ -1278,6 +1310,8 @@ let suite =
     Alcotest.test_case "metrics csv shape" `Quick test_metrics_csv_shape;
     Alcotest.test_case "spans off allocation-free" `Quick
       test_spans_off_allocation_free;
+    Alcotest.test_case "demand miss allocation" `Quick
+      test_demand_miss_allocation;
     Alcotest.test_case "decoded loop allocation-free" `Quick
       test_decoded_loop_allocation_free;
     QCheck_alcotest.to_alcotest prop_ledger_cache_exact ]

@@ -756,10 +756,37 @@ let test_rt_wild_pointer_rejected () =
   let rt = mk_rt ~policy:R.Policy.All_remotable ~k:0.0 1 in
   let h = R.Runtime.ds_init rt ~sid:0 in
   let _ = R.Runtime.ds_alloc rt ~handle:h ~size:64 in
-  let wild = R.Addr.encode ~ds:h ~offset:1_000_000 in
-  (match R.Runtime.read_i64 rt wild with
-   | _ -> Alcotest.fail "expected Runtime_error"
-   | exception R.Runtime.Runtime_error _ -> ());
+  let _ = R.Runtime.alloc_unmanaged rt ~size:16 in
+  (* Every heap entry point fails the same named way on each kind of
+     wild address: a handle never issued (inside and beyond the
+     structure table), a managed offset beyond its pool, and an
+     unmanaged access reaching past the segment. *)
+  let regs = Array.make 1 0.0 in
+  let accesses =
+    [ ("read_i64", fun a -> ignore (R.Runtime.read_i64 rt a));
+      ("write_i64", fun a -> R.Runtime.write_i64 rt a 1);
+      ("read_f64_into", fun a -> R.Runtime.read_f64_into rt a regs 0);
+      ("write_f64_from", fun a -> R.Runtime.write_f64_from rt a regs 0) ]
+  in
+  let wild =
+    [ (R.Addr.encode ~ds:(h + 5) ~offset:0,
+       Printf.sprintf "bad handle %d" (h + 5));
+      (R.Addr.encode ~ds:R.Addr.max_handle ~offset:0,
+       Printf.sprintf "bad handle %d" R.Addr.max_handle);
+      (R.Addr.encode ~ds:h ~offset:1_000_000,
+       Printf.sprintf "wild pointer: ds %d offset 1000000 beyond pool (64 bytes)"
+         h);
+      (R.Addr.unmanaged ~offset:16,
+       "wild unmanaged pointer: offset 16 (segment 16 bytes)") ]
+  in
+  List.iter
+    (fun (name, access) ->
+      List.iter
+        (fun (addr, msg) ->
+          Alcotest.check_raises (name ^ ": " ^ msg)
+            (R.Runtime.Runtime_error msg) (fun () -> access addr))
+        wild)
+    accesses;
   match R.Runtime.ds_alloc rt ~handle:99 ~size:8 with
   | _ -> Alcotest.fail "expected bad handle error"
   | exception R.Runtime.Runtime_error _ -> ()
