@@ -293,11 +293,11 @@ let attempt t ~scale ~now ~sizes ~completions =
   | Some Transient -> Error (nack t ~now ~qp ~proto ~sizes)
   | fault -> Ok (deliver t ~scale ~now ~qp ~proto ~sizes ~completions fault)
 
-let fetch_attempt ?(scale = unit_scale) t ~now ~bytes =
+let fetch_attempt t ~scale ~now ~bytes =
   t.one_size.(0) <- bytes;
   attempt t ~scale ~now ~sizes:t.one_size ~completions:t.one_done
 
-let fetch_many_attempt ?(scale = unit_scale) t ~now ~sizes =
+let fetch_many_attempt t ~scale ~now ~sizes =
   let n = Array.length sizes in
   if n = 0 then invalid_arg "Fabric.fetch_many_attempt: empty batch";
   let completions = Array.make n 0 in
@@ -312,7 +312,7 @@ let fetch_many_attempt ?(scale = unit_scale) t ~now ~sizes =
    channel (think RC send with end-to-end acknowledgement instead of
    one-sided reads) that pays the protocol cost twice and never
    faults.  Guarantees forward progress at any fault rate. *)
-let fetch_reliable ?(scale = unit_scale) t ~now ~bytes =
+let fetch_reliable t ~scale ~now ~bytes =
   let qp = reserve t ~now in
   t.one_size.(0) <- bytes;
   t.s.reliable_fetches <- t.s.reliable_fetches + 1;

@@ -149,7 +149,7 @@ val set_port : t -> (port_event -> unit) option -> unit
     [None] (the default) is bit-identical to any installed observer. *)
 
 val fetch_attempt :
-  ?scale:scale -> t -> now:int -> bytes:int -> (transfer, failure) result
+  t -> scale:scale -> now:int -> bytes:int -> (transfer, failure) result
 (** Schedule an inbound fetch of one object starting at [now] on the
     least-loaded queue pair, through the fault injector: one fault
     decision is drawn per attempt.  [Error] is a transient failure
@@ -159,15 +159,16 @@ val fetch_attempt :
     ([t_queued + t_proto + t_ser = t_complete - now]) so the runtime's
     cycle-attribution profiler and stall ledger can decompose stall
     cycles into root causes.  With the rate at 0 the attempt never
-    fails and consults no randomness.  [scale] (default {!unit_scale})
-    multiplies the protocol and wire terms for this call.
+    fails and consults no randomness.  [scale] multiplies the protocol
+    and wire terms for this call; {!unit_scale} leaves them untouched.
+    It is a required argument so that no call allocates an option.
 
     Retried attempts MUST re-enter at a non-decreasing [now]: the
     fabric raises [Invalid_argument] when the inbound clock moves
     backwards rather than corrupting queue state. *)
 
 val fetch_many_attempt :
-  ?scale:scale -> t -> now:int -> sizes:int array ->
+  t -> scale:scale -> now:int -> sizes:int array ->
   (transfer * int array, failure) result
 (** Coalesce a batch of objects into one request on the least-loaded
     queue pair, through the fault injector.  The protocol cost is paid
@@ -179,15 +180,16 @@ val fetch_many_attempt :
     transient fault NACKs the entire batch, a late fault delays every
     completion in it by the same congestion term.  A completed request
     counts one batch and [n] fetches in {!stats}; a NACKed one counts
-    neither.
+    neither.  [scale] as in {!fetch_attempt}.
     @raise Invalid_argument on an empty batch or a backwards [now]. *)
 
-val fetch_reliable : ?scale:scale -> t -> now:int -> bytes:int -> transfer
+val fetch_reliable : t -> scale:scale -> now:int -> bytes:int -> transfer
 (** The escalation path for a fetch whose retries are exhausted: a
     heavyweight reliable channel (send with end-to-end acknowledgement
     rather than a one-sided read) paying [2 * proto_cycles] plus
     serialization.  Never faulted — guarantees forward progress at any
-    fault rate.  Counted in {!stats} [reliable_fetches].
+    fault rate.  Counted in {!stats} [reliable_fetches].  [scale] as in
+    {!fetch_attempt}.
     @raise Invalid_argument on a backwards [now]. *)
 
 val nominal_fetch_cycles : t -> bytes:int -> int

@@ -31,6 +31,11 @@ let pop t =
       done;
       Queue.pop t.queue)
 
+let try_pop t =
+  Mutex.protect t.lock (fun () ->
+      check_poison t;
+      Queue.take_opt t.queue)
+
 let poison t e =
   Mutex.protect t.lock (fun () ->
       if t.poison = None then t.poison <- Some e;

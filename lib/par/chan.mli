@@ -1,10 +1,10 @@
 (** An unbounded FIFO channel between domains — each tenant's mailbox
     in the parallel engine, carrying its completion records from the
-    worker that executes them to the coordinator that commits them.
+    domain that executes them to the coordinator that commits them.
 
-    {!push} never blocks, so a worker owning several tenants can never
-    deadlock against the coordinator.  {!pop} blocks while the channel
-    is empty: that wait is the engine's conservative lookahead barrier.
+    {!push} never blocks, so no executing domain can deadlock against
+    the coordinator.  {!pop} blocks while the channel is empty: that
+    wait is the engine's conservative lookahead barrier.
     A failing domain {!poison}s the channel, so a blocked or later
     {!pop} and every later {!push} raise {!Poisoned} instead of hanging
     the run. *)
@@ -21,6 +21,10 @@ val push : 'a t -> 'a -> unit
 
 val pop : 'a t -> 'a
 (** Remove the oldest value, blocking while there is none.
+    @raise Poisoned once the channel is poisoned, queued values or not. *)
+
+val try_pop : 'a t -> 'a option
+(** Remove the oldest value, or [None] at once when there is none.
     @raise Poisoned once the channel is poisoned, queued values or not. *)
 
 val poison : 'a t -> exn -> unit

@@ -1132,8 +1132,8 @@ let test_demand_miss_allocation () =
   for _ = 1 to 128 do miss () done;
   check Alcotest.int "every guard misses" 128 (faults () - before);
   check Alcotest.bool
-    (Printf.sprintf "a demand miss allocates at most 32 words (%.1f)" words)
-    true (words <= 32.0)
+    (Printf.sprintf "a demand miss allocates at most 24 words (%.1f)" words)
+    true (words <= 24.0)
 
 (* The decoded engine end to end: a call-free MiniC loop of guarded
    i64 and f64 loads and stores and float-register arithmetic.  Its

@@ -51,10 +51,13 @@ let test_cost_table1 () =
 
 (* ---------- Fabric ---------- *)
 
+let unit_scale = N.Fabric.unit_scale
+
 (* Fault-free requests through the attempt API (rate 0 never fails). *)
-let fetch f ~now ~bytes = Result.get_ok (N.Fabric.fetch_attempt f ~now ~bytes)
+let fetch f ~now ~bytes =
+  Result.get_ok (N.Fabric.fetch_attempt f ~scale:unit_scale ~now ~bytes)
 let fetch_many f ~now ~sizes =
-  Result.get_ok (N.Fabric.fetch_many_attempt f ~now ~sizes)
+  Result.get_ok (N.Fabric.fetch_many_attempt f ~scale:unit_scale ~now ~sizes)
 
 let test_fabric_59k () =
   (* Table 1: a 4 KiB demand fetch lands at ~59 K cycles. *)
@@ -962,7 +965,7 @@ let batch3 = Array.make 3 4096
 
 let test_fabric_fault_transient () =
   let f = fault_fabric [ N.Fabric.Transient ] in
-  (match N.Fabric.fetch_attempt f ~now:0 ~bytes:4096 with
+  (match N.Fabric.fetch_attempt f ~scale:unit_scale ~now:0 ~bytes:4096 with
    | Ok _ -> Alcotest.fail "rate-1 transient must NACK"
    | Error fl ->
      (* The NACK comes back a protocol round-trip after the QP picked
@@ -976,7 +979,7 @@ let test_fabric_fault_transient () =
   (* A NACK rejects the whole batch: one turnaround, nothing counted
      as fetched or batched. *)
   let f = fault_fabric [ N.Fabric.Transient ] in
-  (match N.Fabric.fetch_many_attempt f ~now:0 ~sizes:batch3 with
+  (match N.Fabric.fetch_many_attempt f ~scale:unit_scale ~now:0 ~sizes:batch3 with
    | Ok _ -> Alcotest.fail "rate-1 transient must NACK the batch"
    | Error fl ->
      check Alcotest.int "batch NACK after proto" proto fl.N.Fabric.f_fail);
@@ -998,7 +1001,7 @@ let test_fabric_fault_late () =
       .t_complete
   in
   let f = fault_fabric [ N.Fabric.Late ] in
-  (match N.Fabric.fetch_attempt f ~now:0 ~bytes:4096 with
+  (match N.Fabric.fetch_attempt f ~scale:unit_scale ~now:0 ~bytes:4096 with
    | Error _ -> Alcotest.fail "a late transfer still completes"
    | Ok tr ->
      check Alcotest.bool "tagged late" true
@@ -1013,7 +1016,7 @@ let test_fabric_fault_late () =
     fetch_many (N.Fabric.create N.Fabric.default_config) ~now:0 ~sizes:batch3
   in
   let f = fault_fabric [ N.Fabric.Late ] in
-  (match N.Fabric.fetch_many_attempt f ~now:0 ~sizes:batch3 with
+  (match N.Fabric.fetch_many_attempt f ~scale:unit_scale ~now:0 ~sizes:batch3 with
    | Error _ -> Alcotest.fail "a late batch still completes"
    | Ok (tr, completions) ->
      check Alcotest.bool "batch tagged late" true
@@ -1035,7 +1038,7 @@ let test_fabric_fault_duplicate () =
       .t_complete
   in
   let f = fault_fabric [ N.Fabric.Duplicate ] in
-  (match N.Fabric.fetch_attempt f ~now:0 ~bytes:4096 with
+  (match N.Fabric.fetch_attempt f ~scale:unit_scale ~now:0 ~bytes:4096 with
    | Error _ -> Alcotest.fail "a duplicated transfer still completes"
    | Ok tr ->
      (* The data arrives on time; only the QP pays for draining the
@@ -1049,7 +1052,7 @@ let test_fabric_fault_duplicate () =
   let clean_f = N.Fabric.create N.Fabric.default_config in
   let _, clean = fetch_many clean_f ~now:0 ~sizes:batch3 in
   let f = fault_fabric [ N.Fabric.Duplicate ] in
-  (match N.Fabric.fetch_many_attempt f ~now:0 ~sizes:batch3 with
+  (match N.Fabric.fetch_many_attempt f ~scale:unit_scale ~now:0 ~sizes:batch3 with
    | Error _ -> Alcotest.fail "a duplicated batch still completes"
    | Ok (tr, completions) ->
      check Alcotest.bool "batch tagged duplicate" true
@@ -1071,11 +1074,11 @@ let test_fabric_attempt_rate0_identity () =
   for i = 0 to 9 do
     let now = i * 10_000 in
     check Alcotest.bool "identical transfer" true
-      (N.Fabric.fetch_attempt a ~now ~bytes:4096
-       = N.Fabric.fetch_attempt b ~now ~bytes:4096);
+      (N.Fabric.fetch_attempt a ~scale:unit_scale ~now ~bytes:4096
+       = N.Fabric.fetch_attempt b ~scale:unit_scale ~now ~bytes:4096);
     check Alcotest.bool "identical batch" true
-      (N.Fabric.fetch_many_attempt a ~now ~sizes:batch3
-       = N.Fabric.fetch_many_attempt b ~now ~sizes:batch3);
+      (N.Fabric.fetch_many_attempt a ~scale:unit_scale ~now ~sizes:batch3
+       = N.Fabric.fetch_many_attempt b ~scale:unit_scale ~now ~sizes:batch3);
     N.Fabric.writeback a ~now ~bytes:4096;
     N.Fabric.writeback b ~now ~bytes:4096
   done;
@@ -1086,7 +1089,7 @@ let test_fabric_attempt_rate0_identity () =
   let kinds f =
     List.init 16 (fun i ->
         let now = 1_000_000 + (i * 100_000) in
-        match N.Fabric.fetch_attempt f ~now ~bytes:64 with
+        match N.Fabric.fetch_attempt f ~scale:unit_scale ~now ~bytes:64 with
         | Ok tr -> tr.N.Fabric.t_fault
         | Error _ -> Some N.Fabric.Transient)
   in
@@ -1096,7 +1099,7 @@ let test_fabric_attempt_rate0_identity () =
 
 let test_fabric_reliable_never_faults () =
   let f = fault_fabric all_kinds in
-  let tr = N.Fabric.fetch_reliable f ~now:0 ~bytes:4096 in
+  let tr = N.Fabric.fetch_reliable f ~scale:unit_scale ~now:0 ~bytes:4096 in
   check Alcotest.bool "no fault on the reliable channel" true
     (tr.N.Fabric.t_fault = None);
   (* Send + end-to-end ack: one extra protocol round on top of the
@@ -1127,7 +1130,7 @@ let test_fabric_now_backwards_rejected () =
   (* Re-entering at the same now is fine (retries re-issue "now"). *)
   ignore (fetch_many f ~now:1000 ~sizes:[| 4096 |]);
   (try
-     ignore (N.Fabric.fetch_many_attempt f ~now:999 ~sizes:[| 4096 |]);
+     ignore (N.Fabric.fetch_many_attempt f ~scale:unit_scale ~now:999 ~sizes:[| 4096 |]);
      Alcotest.fail "inbound clock moved backwards undetected"
    with Invalid_argument _ -> ());
   N.Fabric.writeback_many f ~now:2000 ~count:1 ~bytes:4096;
@@ -1143,7 +1146,7 @@ let test_fabric_fault_schedule_deterministic () =
   let run seed =
     let f = fault_fabric ~rate:0.5 ~seed all_kinds in
     List.init 32 (fun i ->
-        match N.Fabric.fetch_attempt f ~now:(i * 100_000) ~bytes:4096 with
+        match N.Fabric.fetch_attempt f ~scale:unit_scale ~now:(i * 100_000) ~bytes:4096 with
         | Ok tr -> (true, tr.N.Fabric.t_complete, tr.N.Fabric.t_fault)
         | Error fl -> (false, fl.N.Fabric.f_fail, None))
   in
@@ -1153,11 +1156,11 @@ let test_fabric_fault_schedule_deterministic () =
 
 let test_fabric_set_fault_rate () =
   let f = fault_fabric [ N.Fabric.Transient ] in
-  (match N.Fabric.fetch_attempt f ~now:0 ~bytes:64 with
+  (match N.Fabric.fetch_attempt f ~scale:unit_scale ~now:0 ~bytes:64 with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "rate 1 must fault");
   N.Fabric.set_fault_rate f 0.0;
-  (match N.Fabric.fetch_attempt f ~now:1_000_000 ~bytes:64 with
+  (match N.Fabric.fetch_attempt f ~scale:unit_scale ~now:1_000_000 ~bytes:64 with
    | Ok tr ->
      check Alcotest.bool "rate 0 is clean" true (tr.N.Fabric.t_fault = None)
    | Error _ -> Alcotest.fail "rate 0 cannot fail");
