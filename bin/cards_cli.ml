@@ -285,26 +285,6 @@ let fault_kinds_arg =
 
 (* ---------- observability flags ---------- *)
 
-let trace_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write a Chrome trace_event JSON file (load it in \
-                 chrome://tracing or Perfetto): faults and late \
-                 prefetches as duration spans per structure, the \
-                 interpreter call stack on thread 0.")
-
-let events_arg =
-  Arg.(value & opt (some string) None
-       & info [ "events" ] ~docv:"FILE"
-           ~doc:"Write the raw event ring as JSON-lines (one event \
-                 per line, oldest first).")
-
-let trace_cap_arg =
-  Arg.(value & opt int 1_048_576
-       & info [ "trace-capacity" ] ~docv:"N"
-           ~doc:"Event-ring capacity; beyond it the oldest events are \
-                 dropped (the exporters report the drop count).")
-
 let metrics_arg =
   Arg.(value & flag
        & info [ "metrics" ]
@@ -333,11 +313,14 @@ let spans_arg =
            ~doc:"Record causal spans (one per fabric transfer, with \
                  parent edges: prefetch to the access it satisfied, \
                  retry to its demand fetch, batch to its members, trap \
-                 to the fetch it forced) and write them to $(docv) — \
-                 JSON-lines if the name ends in $(b,.jsonl), otherwise \
-                 a Chrome trace_event file with flow arrows along every \
-                 edge.  Also prints the critical-path table (the \
-                 heaviest causal chain).")
+                 to the fetch it forced), a call span for each \
+                 interpreted call that contains one, and the runtime's \
+                 policy changes; write them to $(docv) — JSON-lines if \
+                 the name ends in $(b,.jsonl), folded stacks if it ends \
+                 in $(b,.folded), otherwise a Chrome trace_event file \
+                 with flow arrows along every edge and the calls on the \
+                 interpreter row.  Also prints the critical-path table \
+                 (the heaviest causal chain).")
 
 let span_rate_arg =
   Arg.(value & opt float 1.0
@@ -391,39 +374,21 @@ let metrics_csv_arg =
    machine-readable stdout or with each other mid-line. *)
 let reporter = O.Reporter.stderr_reporter
 
-let make_sink ~trace ~events ~trace_cap ~metrics ~metrics_interval ~spans
-    ~span_rate ~postmortem ~whatif =
-  if
-    trace = None && events = None && (not metrics) && spans = None
-    && (not postmortem) && not whatif
-  then None
+let make_sink ~metrics ~metrics_interval ~spans ~span_rate ~postmortem ~whatif =
+  if (not metrics) && spans = None && (not postmortem) && not whatif then None
   else
     Some
       (O.Sink.create
-         ?trace_capacity:
-           (if trace <> None || events <> None then Some trace_cap else None)
          ?metrics_interval:(if metrics then Some metrics_interval else None)
          ?span_rate:
            (if spans <> None || postmortem || whatif then Some span_rate
             else None)
          ~postmortem ~reporter ())
 
-let export_obs rt obs ~trace ~events ~metrics ~metrics_csv ~spans =
+let export_obs rt obs ~metrics ~metrics_csv ~spans =
   let names = R.Runtime.ds_name rt in
   Option.iter
     (fun sink ->
-      (match (O.Sink.trace sink : O.Trace.t option) with
-       | Some tr ->
-         Option.iter
-           (fun path ->
-             O.Export.write_file path (O.Export.chrome_trace_string ~names tr);
-             O.Reporter.linef reporter "-- trace: %d events to %s (%d dropped)"
-               (O.Trace.length tr) path (O.Trace.dropped tr))
-           trace;
-         Option.iter
-           (fun path -> O.Export.write_file path (O.Export.events_jsonl tr))
-           events
-       | None -> ());
       (match O.Sink.spans sink with
        | Some c ->
          (match O.Critical_path.analyze c with
@@ -538,8 +503,8 @@ let check_domains domains =
 let run_cmd =
   let run file system engine policy k local remotable prefetch prefetch_bytes
       report qp no_batching fault_rate fault_seed retry_max fault_kinds
-      trace events trace_cap metrics metrics_interval metrics_csv profile
-      spans span_rate postmortem whatif whatif_validate factorize domains =
+      metrics metrics_interval metrics_csv profile spans span_rate postmortem
+      whatif whatif_validate factorize domains =
     with_errors (fun () ->
         check_unit_interval "fault-rate" fault_rate;
         check_unit_interval "span-rate" span_rate;
@@ -550,8 +515,6 @@ let run_cmd =
         check_min "qp" qp ~min:1 ~need:"at least one queue pair";
         check_min "retry-max" retry_max ~min:0
           ~need:"a non-negative retry count";
-        check_min "trace-capacity" trace_cap ~min:1
-          ~need:"room for at least one event";
         check_min "metrics-interval" metrics_interval ~min:1
           ~need:"a positive sampling period";
         Option.iter
@@ -580,9 +543,8 @@ let run_cmd =
         in
         let src = read_source file in
         let obs =
-          make_sink ~trace ~events ~trace_cap
-            ~metrics:(metrics || metrics_csv <> None)
-            ~metrics_interval ~spans ~span_rate ~postmortem ~whatif
+          make_sink ~metrics:(metrics || metrics_csv <> None) ~metrics_interval
+            ~spans ~span_rate ~postmortem ~whatif
         in
         let options = { P.cards_options with factorize } in
         let res, rt, whatif_rerun =
@@ -675,7 +637,7 @@ let run_cmd =
         end;
         if report then print_report rt;
         if profile then print_profile rt;
-        export_obs rt obs ~trace ~events ~metrics ~metrics_csv ~spans;
+        export_obs rt obs ~metrics ~metrics_csv ~spans;
         if whatif then begin
           match Option.bind obs O.Sink.spans with
           | None -> ()
@@ -714,8 +676,7 @@ let run_cmd =
           $ remot_arg $ prefetch_arg $ prefetch_bytes_arg $ report_arg
           $ qp_arg $ no_batching_arg
           $ fault_rate_arg $ fault_seed_arg $ retry_max_arg $ fault_kinds_arg
-          $ trace_arg $ events_arg $ trace_cap_arg $ metrics_arg
-          $ metrics_interval_arg $ metrics_csv_arg $ profile_arg
+          $ metrics_arg $ metrics_interval_arg $ metrics_csv_arg $ profile_arg
           $ spans_arg $ span_rate_arg $ postmortem_arg $ whatif_arg
           $ whatif_validate_arg $ factorize_arg $ domains_arg)
 

@@ -42,8 +42,7 @@ module Func = Cards_ir.Func
 module Types = Cards_ir.Types
 module Irmod = Cards_ir.Irmod
 module Runtime = Cards_runtime.Runtime
-module Sink = Cards_obs.Sink
-module Event = Cards_obs.Event
+module Span = Cards_obs.Span
 module Profile = Cards_obs.Profile
 
 open Sem
@@ -643,21 +642,16 @@ let run_blocks st df fr =
   in
   go 0
 
-(* Call-stack spans for the Chrome-trace exporter, exactly as the
-   reference engine emits them: B/E pairs on the interpreter thread; a
-   [Trap] unwinds without the exit event. *)
+(* Call spans exactly as the reference engine records them: with spans
+   off the hook is one test of a cached field. *)
 let exec st df fr =
-  if Sink.tracing st.obs then begin
-    Sink.emit st.obs
-      (Event.make ~cycle:(Runtime.now st.rt) ~ds:0 ~obj:0
-         (Event.Call_enter { fn = df.fname }));
+  match st.spans with
+  | None -> run_blocks st df fr
+  | Some c ->
+    let since = Span.length c and issued = Runtime.now st.rt in
     let code = run_blocks st df fr in
-    Sink.emit st.obs
-      (Event.make ~cycle:(Runtime.now st.rt) ~ds:0 ~obj:0
-         (Event.Call_exit { fn = df.fname }));
+    Span.call c ~since ~fn:df.fname ~issued ~complete:(Runtime.now st.rt);
     code
-  end
-  else run_blocks st df fr
 
 let () = exec_ref := exec
 

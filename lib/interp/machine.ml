@@ -3,8 +3,7 @@ module Func = Cards_ir.Func
 module Types = Cards_ir.Types
 module Irmod = Cards_ir.Irmod
 module Runtime = Cards_runtime.Runtime
-module Sink = Cards_obs.Sink
-module Event = Cards_obs.Event
+module Span = Cards_obs.Span
 
 type result = {
   ret : int;
@@ -96,20 +95,16 @@ let rec exec_function st (f : Func.t) (args : argv list) : argv =
       if Types.equal f.ret Types.F64 then AF (fval st fr v) else AI (ival st fr v)
     | Instr.Unreachable -> trap "reached unreachable in %s:L%d" f.name bid
   in
-  (* Call-stack spans for the Chrome-trace exporter: B/E pairs on the
-     interpreter thread.  A [Trap] unwinds without the exit event,
-     which is fine — the trace just ends inside the failing frame. *)
-  if Sink.tracing st.obs then begin
-    Sink.emit st.obs
-      (Event.make ~cycle:(Runtime.now st.rt) ~ds:0 ~obj:0
-         (Event.Call_enter { fn = f.name }));
+  (* A call during which a span was recorded closes as a Call span on
+     the interpreter row.  A [Trap] unwinds without one, so the spans
+     of the failing frame simply stand outside any call. *)
+  match st.spans with
+  | None -> run_block 0
+  | Some c ->
+    let since = Span.length c and issued = Runtime.now st.rt in
     let res = run_block 0 in
-    Sink.emit st.obs
-      (Event.make ~cycle:(Runtime.now st.rt) ~ds:0 ~obj:0
-         (Event.Call_exit { fn = f.name }));
+    Span.call c ~since ~fn:f.name ~issued ~complete:(Runtime.now st.rt);
     res
-  end
-  else run_block 0
 
 and exec_instr st fr ins =
   st.executed <- st.executed + 1;

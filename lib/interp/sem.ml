@@ -4,7 +4,7 @@ module Types = Cards_ir.Types
 module Irmod = Cards_ir.Irmod
 module Runtime = Cards_runtime.Runtime
 module Cost = Cards_runtime.Cost
-module Sink = Cards_obs.Sink
+module Span = Cards_obs.Span
 
 exception Trap of string
 
@@ -26,7 +26,8 @@ type state = {
   mutable executed : int;
   fuel : int;
   out : Buffer.t;
-  obs : Sink.t;   (* the runtime's sink, cached for call-stack events *)
+  spans : Span.collector option;
+      (* the runtime sink's collector, cached for the call hook *)
 }
 
 let global_addr st g =
@@ -142,7 +143,8 @@ let setup ?(fuel = max_int) (m : Irmod.t) rt =
   let globals = Hashtbl.create 16 in
   let st =
     { rt; cost = Cost.cards; funcs; globals; floaty = Hashtbl.create 16;
-      executed = 0; fuel; out = Buffer.create 256; obs = Runtime.sink rt }
+      executed = 0; fuel; out = Buffer.create 256;
+      spans = Cards_obs.Sink.spans (Runtime.sink rt) }
   in
   List.iter
     (fun (g : Irmod.global) ->

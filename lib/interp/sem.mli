@@ -28,7 +28,10 @@ type state = {
   mutable executed : int;
   fuel : int;
   out : Buffer.t;
-  obs : Cards_obs.Sink.t;
+  spans : Cards_obs.Span.collector option;
+      (** the runtime sink's collector: both engines close a call
+          during which a span was recorded as a {!Cards_obs.Span.Call}
+          span *)
 }
 (** Per-run execution state, shared by both engines. *)
 

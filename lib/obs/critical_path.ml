@@ -17,17 +17,20 @@ type report = {
 }
 
 let analyze c =
-  if Span.length c = 0 then None
+  (* Marks have no phases and no parent: they neither extend a chain
+     nor start one, and a Call closes after the fetches it contains. *)
+  let spans =
+    Span.spans c
+    |> List.filter (fun (s : Span.t) -> not (Span.is_mark s.sp_kind))
+    |> List.sort (fun (a : Span.t) b -> compare a.sp_id b.sp_id)
+  in
+  if spans = [] then None
   else begin
-    let spans =
-      List.sort
-        (fun (a : Span.t) b -> compare a.sp_id b.sp_id)
-        (Span.spans c)
-    in
-    let by_id = Hashtbl.create (Span.length c) in
+    let n = List.length spans in
+    let by_id = Hashtbl.create n in
     (* chain_cost(s) = stall(s) + chain_cost(parent); parents have
        smaller ids, so the sorted forward pass sees them first. *)
-    let cost = Hashtbl.create (Span.length c) in
+    let cost = Hashtbl.create n in
     let best = ref (-1) and best_cost = ref (-1) and last = ref 0 in
     List.iter
       (fun (s : Span.t) ->
@@ -83,6 +86,6 @@ let analyze c =
         r_chain_stall = !best_cost;
         r_phases = ph;
         r_by_ds = by_ds;
-        r_span_count = Span.length c;
+        r_span_count = n;
         r_end = !last }
   end

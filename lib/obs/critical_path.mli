@@ -27,11 +27,12 @@ type report = {
   r_chain_stall : int;  (** total stall cycles along the chain *)
   r_phases : phase_split;  (** chain stall split by phase *)
   r_by_ds : (int * int) list;  (** chain stall by structure, desc *)
-  r_span_count : int;  (** spans analyzed *)
-  r_end : int;  (** last completion cycle seen across all spans *)
+  r_span_count : int;  (** spans analyzed: every span but the marks *)
+  r_end : int;  (** last completion cycle seen across them *)
 }
 
 val analyze : Span.collector -> report option
-(** [None] iff no spans were recorded.  A report with an all-zero
+(** [None] iff no span other than a mark ({!Span.is_mark}) was
+    recorded.  A report with an all-zero
     chain ([r_chain_stall = 0]) means every recorded span was free —
     e.g. a run of pure timely prefetch hits. *)

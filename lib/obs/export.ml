@@ -5,78 +5,7 @@ let pct part total =
   if total <= 0 then "0.0%"
   else Printf.sprintf "%.1f%%" (100.0 *. float_of_int part /. float_of_int total)
 
-(* ---------- JSON-lines ---------- *)
-
-let kind_args (k : Event.kind) : (string * Json.t) list =
-  match k with
-  | Guard_hit | Guard_miss | Epoch_mark -> []
-  | Remote_fault { queued; stall } ->
-    [ ("queued", Json.Int queued); ("stall", Json.Int stall) ]
-  | Clean_fault { stall } -> [ ("stall", Json.Int stall) ]
-  | Prefetch_issue { origin_ds; origin_obj } ->
-    [ ("origin_ds", Json.Int origin_ds); ("origin_obj", Json.Int origin_obj) ]
-  | Batch_fetch { count; bytes } ->
-    [ ("count", Json.Int count); ("bytes", Json.Int bytes) ]
-  | Prefetch_use { timely } -> [ ("timely", Json.Bool timely) ]
-  | Prefetch_late { wait } -> [ ("wait", Json.Int wait) ]
-  | Qp_busy { qp; busy } -> [ ("qp", Json.Int qp); ("busy", Json.Int busy) ]
-  | Fault_inject { kind } -> [ ("kind", Json.Str kind) ]
-  | Retry_backoff { attempt; wait } ->
-    [ ("attempt", Json.Int attempt); ("wait", Json.Int wait) ]
-  | Fetch_timeout { budget } -> [ ("budget", Json.Int budget) ]
-  | Degrade { level; observed_pct } ->
-    [ ("level", Json.Int level); ("observed_pct", Json.Int observed_pct) ]
-  | Evict { dirty } -> [ ("dirty", Json.Bool dirty) ]
-  | Writeback { bytes } -> [ ("bytes", Json.Int bytes) ]
-  | Policy_switch { from_pf; to_pf } ->
-    [ ("from", Json.Str from_pf); ("to", Json.Str to_pf) ]
-  | Loop_version { clean } -> [ ("clean", Json.Bool clean) ]
-  | Call_enter { fn } | Call_exit { fn } -> [ ("fn", Json.Str fn) ]
-
-let event_json (ev : Event.t) =
-  Json.Obj
-    ([ ("ev", Json.Str (Event.kind_name ev.ev_kind));
-       ("cycle", Json.Int ev.ev_cycle);
-       ("ds", Json.Int ev.ev_ds);
-       ("obj", Json.Int ev.ev_obj) ]
-     @ kind_args ev.ev_kind)
-
-let events_jsonl trace =
-  let buf = Buffer.create 4096 in
-  Trace.iter
-    (fun ev ->
-      Buffer.add_string buf (Json.to_string (event_json ev));
-      Buffer.add_char buf '\n')
-    trace;
-  Buffer.contents buf
-
-let sample_json (s : Metrics.sample) =
-  Json.Obj
-    [ ("ev", Json.Str "sample");
-      ("cycle", Json.Int s.m_cycle);
-      ("ds", Json.Int s.m_ds);
-      ("name", Json.Str s.m_name);
-      ("resident_bytes", Json.Int s.m_resident_bytes);
-      ("guards", Json.Int s.m_guards);
-      ("guard_hits", Json.Int s.m_guard_hits);
-      ("remote_faults", Json.Int s.m_remote_faults);
-      ("clean_faults", Json.Int s.m_clean_faults);
-      ("pf_issued", Json.Int s.m_pf_issued);
-      ("pf_used", Json.Int s.m_pf_used);
-      ("pf_late", Json.Int s.m_pf_late);
-      ("evictions", Json.Int s.m_evictions);
-      ("fetched_bytes", Json.Int s.m_fetched_bytes);
-      ("prefetcher", Json.Str s.m_prefetcher);
-      ("pf_switches", Json.Int s.m_pf_switches) ]
-
-let metrics_jsonl metrics =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun s ->
-      Buffer.add_string buf (Json.to_string (sample_json s));
-      Buffer.add_char buf '\n')
-    (Metrics.samples metrics);
-  Buffer.contents buf
+(* ---------- metric samples ---------- *)
 
 let metrics_csv metrics =
   let buf = Buffer.create 4096 in
@@ -99,102 +28,13 @@ let metrics_csv metrics =
 
 (* The trace_event JSON format understood by chrome://tracing and
    Perfetto: an object with a "traceEvents" array; each event has a
-   phase "ph" ("X" complete with "dur", "B"/"E" nested spans, "i"
-   instants, "M" metadata), microsecond timestamps "ts", and
-   process/thread ids.  We map each data structure to its own thread
-   row (tid = handle), the interpreter's call stack to tid 0, and each
-   inbound fabric queue pair to its own row (tid = qp_tid_base + qp)
-   showing occupancy spans — queue contention made visible next to the
-   fault spans it causes. *)
+   phase "ph" ("X" complete with "dur", "s"/"f" flow arrows, "M"
+   metadata), microsecond timestamps "ts", and process/thread ids. *)
 
 let us_of_cycles ~freq_ghz c = float_of_int c /. (freq_ghz *. 1000.0)
 
 (* QP rows sort after every plausible structure handle. *)
 let qp_tid_base = 100_000
-
-let chrome_event ~freq_ghz (ev : Event.t) : Json.t =
-  let ts = us_of_cycles ~freq_ghz ev.ev_cycle in
-  let base name ph tid extra =
-    Json.Obj
-      ([ ("name", Json.Str name);
-         ("cat", Json.Str (Event.category ev.ev_kind));
-         ("ph", Json.Str ph);
-         ("ts", Json.Float ts);
-         ("pid", Json.Int 1);
-         ("tid", Json.Int tid) ]
-       @ extra)
-  in
-  let args = ("args", Json.Obj (("obj", Json.Int ev.ev_obj) :: kind_args ev.ev_kind)) in
-  match ev.ev_kind with
-  | Call_enter { fn } -> base fn "B" 0 []
-  | Call_exit { fn } -> base fn "E" 0 []
-  | Loop_version _ ->
-    base (Event.kind_name ev.ev_kind) "i" 0 [ ("s", Json.Str "t"); args ]
-  | Qp_busy { qp; busy } ->
-    base "qp_busy" "X" (qp_tid_base + qp)
-      [ ("dur", Json.Float (us_of_cycles ~freq_ghz busy)); args ]
-  | k -> (
-    match Event.duration k with
-    | Some dur ->
-      base (Event.kind_name k) "X" ev.ev_ds
-        [ ("dur", Json.Float (us_of_cycles ~freq_ghz dur)); args ]
-    | None ->
-      base (Event.kind_name k) "i" ev.ev_ds [ ("s", Json.Str "t"); args ])
-
-let chrome_trace ?(freq_ghz = 2.4) ?names trace =
-  let tids = Hashtbl.create 8 in
-  Trace.iter
-    (fun (ev : Event.t) ->
-      let tid =
-        match ev.ev_kind with
-        | Call_enter _ | Call_exit _ | Loop_version _ -> 0
-        | Qp_busy { qp; _ } -> qp_tid_base + qp
-        | _ -> ev.ev_ds
-      in
-      Hashtbl.replace tids tid ())
-    trace;
-  let thread_name tid =
-    let name =
-      if tid = 0 then "interpreter"
-      else if tid >= qp_tid_base then
-        Printf.sprintf "qp%d inbound" (tid - qp_tid_base)
-      else
-        match names with
-        | Some f -> f tid
-        | None -> Printf.sprintf "ds %d" tid
-    in
-    Json.Obj
-      [ ("name", Json.Str "thread_name");
-        ("ph", Json.Str "M");
-        ("pid", Json.Int 1);
-        ("tid", Json.Int tid);
-        ("args", Json.Obj [ ("name", Json.Str name) ]) ]
-  in
-  let meta =
-    Json.Obj
-      [ ("name", Json.Str "process_name");
-        ("ph", Json.Str "M");
-        ("pid", Json.Int 1);
-        ("args", Json.Obj [ ("name", Json.Str "CaRDS simulated run") ]) ]
-  in
-  let metas =
-    meta
-    :: (Hashtbl.fold (fun tid () acc -> tid :: acc) tids []
-        |> List.sort compare
-        |> List.map thread_name)
-  in
-  let evs = List.map (chrome_event ~freq_ghz) (Trace.to_list trace) in
-  Json.Obj
-    [ ("traceEvents", Json.List (metas @ evs));
-      ("displayTimeUnit", Json.Str "ms");
-      ("otherData",
-       Json.Obj
-         [ ("tool", Json.Str "cards");
-           ("clock", Json.Str (Printf.sprintf "%.1f GHz simulated" freq_ghz));
-           ("dropped_events", Json.Int (Trace.dropped trace)) ]) ]
-
-let chrome_trace_string ?freq_ghz ?names trace =
-  Json.to_string (chrome_trace ?freq_ghz ?names trace)
 
 (* ---------- causal spans ---------- *)
 
@@ -226,9 +66,17 @@ let span_json (s : Span.t) =
          ("stall", Json.Int (Span.stall s));
          ("qp", Json.Int s.sp_qp);
          ("bytes", Json.Int s.sp_bytes) ]
-     @ match s.sp_fault with
-       | Some f -> [ ("fault", Json.Str f) ]
-       | None -> [])
+     @ (match s.sp_fault with
+        | Some f -> [ ("fault", Json.Str f) ]
+        | None -> [])
+     @
+     match s.sp_kind with
+     | Span.Degrade { level; observed_pct } ->
+       [ ("level", Json.Int level); ("observed_pct", Json.Int observed_pct) ]
+     | Span.Policy_switch { from_pf; to_pf } ->
+       [ ("from", Json.Str from_pf); ("to", Json.Str to_pf) ]
+     | Span.Loop_version { clean } -> [ ("clean", Json.Bool clean) ]
+     | _ -> [])
 
 let spans_jsonl collector =
   let buf = Buffer.create 4096 in
@@ -241,9 +89,12 @@ let spans_jsonl collector =
 
 (* Span rows in the Chrome trace: fabric-carrying spans (demand,
    escalated, prefetch, batch) sit on their queue pair's row, CPU-side
-   spans (retry, settle, hit, trap) on their structure's row, and each
-   parent edge becomes a flow arrow ("s" at the parent, "f" at the
-   child) so Perfetto draws the causal chain across rows. *)
+   spans (retry, settle, hit, trap, a structure's policy switch and
+   epoch marks) on their structure's row, and calls, degradation
+   steps and loop versions on the interpreter row (handle 0, where
+   Perfetto nests the call spans by time).  Each parent edge becomes a
+   flow arrow ("s" at the parent, "f" at the child) so Perfetto draws
+   the causal chain across rows. *)
 
 let span_tid (s : Span.t) =
   if s.sp_qp >= 0 then qp_tid_base + s.sp_qp else s.sp_ds
@@ -303,6 +154,7 @@ let spans_chrome_trace ?(freq_ghz = 2.4) ?names collector =
   let thread_name tid =
     let name =
       if tid >= qp_tid_base then Printf.sprintf "qp%d spans" (tid - qp_tid_base)
+      else if tid = 0 then "interpreter"
       else
         match names with
         | Some f -> f tid

@@ -1,32 +1,14 @@
-(** Exporters: human tables, JSON-lines, and Chrome [trace_event].
+(** Exporters: human tables, CSV, and the span collector's
+    JSON-lines, Chrome [trace_event] and folded-stack views.
 
     The Chrome format loads directly in [chrome://tracing] or
-    {{:https://ui.perfetto.dev}Perfetto}: each data structure becomes
-    its own thread row (faults and late prefetches as duration spans,
-    prefetch/eviction/policy events as instants) and the interpreter's
-    simulated call stack nests on thread 0. *)
-
-val event_json : Event.t -> Cards_util.Json.t
-
-val events_jsonl : Trace.t -> string
-(** One JSON object per line, oldest event first. *)
-
-val sample_json : Metrics.sample -> Cards_util.Json.t
-
-val metrics_jsonl : Metrics.t -> string
+    {{:https://ui.perfetto.dev}Perfetto}: each inbound queue pair and
+    each data structure becomes its own thread row, and the
+    interpreter's call spans nest on thread 0. *)
 
 val metrics_csv : Metrics.t -> string
 (** Header line plus one row per sample, every sample field in order —
     loads directly into pandas / gnuplot for rate plots. *)
-
-val chrome_trace :
-  ?freq_ghz:float -> ?names:(int -> string) -> Trace.t -> Cards_util.Json.t
-(** [freq_ghz] (default 2.4, the paper's Xeon) converts cycle stamps
-    to the format's microsecond timestamps; [names] labels the
-    per-structure thread rows. *)
-
-val chrome_trace_string :
-  ?freq_ghz:float -> ?names:(int -> string) -> Trace.t -> string
 
 val span_json : Span.t -> Cards_util.Json.t
 
@@ -39,9 +21,12 @@ val spans_chrome_trace :
   Span.collector ->
   Cards_util.Json.t
 (** Spans as Chrome "X" events — fabric-carrying spans on their queue
-    pair's row, CPU-side spans on their structure's row — with every
-    causal parent edge rendered as a flow arrow ("s"/"f" pair), so
-    Perfetto draws chains across rows. *)
+    pair's row, CPU-side spans on their structure's row, calls on the
+    interpreter's row (thread 0) — with every causal parent edge
+    rendered as a flow arrow ("s"/"f" pair), so Perfetto draws chains
+    across rows.  [freq_ghz] (default 2.4, the paper's Xeon) converts
+    cycle stamps to the format's microsecond timestamps; [names]
+    labels the per-structure rows. *)
 
 val spans_chrome_trace_string :
   ?freq_ghz:float -> ?names:(int -> string) -> Span.collector -> string

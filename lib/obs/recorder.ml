@@ -22,8 +22,6 @@ let create ?(capacity = 256) () =
     flagged = 0;
     last_flagged = None }
 
-let capacity t = t.cap
-
 let ring_length t = min t.added t.cap
 
 let pinned_count t = Hashtbl.length t.pinned
@@ -71,17 +69,19 @@ let rec pin t (s : Span.t) =
       end
     end
 
-let add t s =
-  t.ring.(t.added mod t.cap) <- Some s;
-  t.added <- t.added + 1;
-  if Hashtbl.mem t.wanted s.sp_id then begin
-    Hashtbl.remove t.wanted s.sp_id;
-    pin t s
-  end;
-  if needs_pin s then begin
-    t.flagged <- t.flagged + 1;
-    t.last_flagged <- Some s;
-    pin t s
+let add t (s : Span.t) =
+  if not (Span.is_mark s.sp_kind) then begin
+    t.ring.(t.added mod t.cap) <- Some s;
+    t.added <- t.added + 1;
+    if Hashtbl.mem t.wanted s.sp_id then begin
+      Hashtbl.remove t.wanted s.sp_id;
+      pin t s
+    end;
+    if needs_pin s then begin
+      t.flagged <- t.flagged + 1;
+      t.last_flagged <- Some s;
+      pin t s
+    end
   end
 
 let chain_of t (s : Span.t) =

@@ -13,7 +13,8 @@
     {!postmortem} — the flagged chain, a timeline of the last
     completed spans, and the degradation-window state — through the
     sink's {!Reporter}.  The recorder allocates nothing when absent:
-    it only observes spans via the collector's listener hook. *)
+    it only observes spans via the collector's listener hook, and it
+    ignores marks ({!Span.is_mark}). *)
 
 type t
 
@@ -21,8 +22,6 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] (default 256) bounds the ring; pinned spans are capped
     separately at 16x capacity, with {!dropped_pins} counting any
     flagged spans dropped past that. *)
-
-val capacity : t -> int
 
 val add : t -> Span.t -> unit
 (** The collector-listener entry point. *)

@@ -1,74 +1,49 @@
 type t = {
-  trace : Trace.t option;
   metrics : Metrics.t option;
   spans : Span.collector option;
   recorder : Recorder.t option;
   reporter : Reporter.t;
-  tracing : bool;
   sampling : bool;
-  spanning : bool;
   mutable pm_armed : bool;
 }
 
 let null =
-  { trace = None;
-    metrics = None;
+  { metrics = None;
     spans = None;
     recorder = None;
     reporter = Reporter.null;
-    tracing = false;
     sampling = false;
-    spanning = false;
     pm_armed = false }
 
-let create ?trace_capacity ?metrics_interval ?span_rate ?recorder_capacity
-    ?(postmortem = false) ?(reporter = Reporter.null) () =
-  let trace = Option.map (fun capacity -> Trace.create ~capacity) trace_capacity in
+let create ?metrics_interval ?span_rate ?(postmortem = false)
+    ?(reporter = Reporter.null) () =
   let metrics =
     Option.map (fun interval -> Metrics.create ~interval ()) metrics_interval
   in
   (* The recorder implies spans: it is fed by the collector's listener.
      [--postmortem] without an explicit rate records everything. *)
-  let want_recorder = postmortem || recorder_capacity <> None in
   let spans =
-    if span_rate <> None || want_recorder then
+    if span_rate <> None || postmortem then
       Some (Span.create ?rate:span_rate ())
     else None
   in
-  let recorder =
-    if want_recorder then Some (Recorder.create ?capacity:recorder_capacity ())
-    else None
-  in
+  let recorder = if postmortem then Some (Recorder.create ()) else None in
   (match (spans, recorder) with
   | Some c, Some r -> Span.set_listener c (Recorder.add r)
   | _ -> ());
-  { trace;
-    metrics;
+  { metrics;
     spans;
     recorder;
     reporter;
-    tracing = trace <> None;
     sampling = metrics <> None;
-    spanning = spans <> None;
-    pm_armed = postmortem && recorder <> None }
-
-let tracing t = t.tracing
+    pm_armed = postmortem }
 
 let sampling t = t.sampling
-
-let spanning t = t.spanning
-
-let emit t ev =
-  match t.trace with
-  | Some tr -> Trace.add tr ev
-  | None -> ()
 
 let metrics_due t ~now =
   match t.metrics with
   | Some m -> Metrics.due m ~now
   | None -> false
-
-let trace t = t.trace
 
 let metrics t = t.metrics
 

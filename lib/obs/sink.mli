@@ -1,53 +1,41 @@
 (** The instrumentation hook handed to the runtime and interpreter.
 
-    A sink bundles an optional event ring ({!Trace}), an optional
-    metrics series ({!Metrics}), an optional causal span collector
-    ({!Span}) with its optional flight recorder ({!Recorder}), and
-    the {!Reporter} through which all human-readable diagnostics
-    flow.  The default {!null} sink has none of them: instrumented
-    call sites check {!tracing} / {!sampling} / {!spanning} (one
-    cached boolean load) before constructing anything, so a run
-    without observability does no extra allocation and follows the
-    seed fast path. *)
+    A sink bundles an optional metrics series ({!Metrics}), an
+    optional causal span collector ({!Span}) — the run's one
+    observation stream — with its optional flight recorder
+    ({!Recorder}), and the {!Reporter} through which all
+    human-readable diagnostics flow.  The default {!null} sink has
+    none of them: the runtime and the interpreter cache {!spans} and
+    {!sampling} when they are created, so a run without observability
+    tests one cached field per hook, does no extra allocation and
+    follows the seed fast path. *)
 
 type t
 
 val null : t
-(** No trace, no metrics, no spans, null reporter; every hook is a
+(** No metrics, no spans, null reporter; every hook is a
     no-op. *)
 
 val create :
-  ?trace_capacity:int ->
   ?metrics_interval:int ->
   ?span_rate:float ->
-  ?recorder_capacity:int ->
   ?postmortem:bool ->
   ?reporter:Reporter.t ->
   unit ->
   t
-(** Tracing is enabled iff [trace_capacity] is given; metric sampling
-    iff [metrics_interval] (cycles) is given; span collection iff
-    [span_rate] is given (1.0 = every occasion) or a recorder is
-    requested.  A flight recorder is attached iff [recorder_capacity]
-    or [postmortem] is given; [postmortem] additionally arms a
-    one-shot post-mortem dump through [reporter] on the first trap or
-    reliable-channel escalation.  [reporter] defaults to
-    {!Reporter.null} — embedders that want human-readable summaries
-    must opt in (the CLI passes {!Reporter.stderr_reporter}). *)
-
-val tracing : t -> bool
-(** Call sites must gate event construction on this. *)
+(** Metric sampling is enabled iff [metrics_interval] (cycles) is
+    given; span collection iff [span_rate] is given (1.0 = every
+    occasion) or [postmortem] is set.  [postmortem] attaches a flight
+    recorder and arms a one-shot post-mortem dump through [reporter]
+    on the first trap or reliable-channel escalation.  [reporter]
+    defaults to {!Reporter.null} — embedders that want human-readable
+    summaries must opt in (the CLI passes
+    {!Reporter.stderr_reporter}). *)
 
 val sampling : t -> bool
 
-val spanning : t -> bool
-(** True iff a span collector is attached. *)
-
-val emit : t -> Event.t -> unit
-
 val metrics_due : t -> now:int -> bool
 
-val trace : t -> Trace.t option
 val metrics : t -> Metrics.t option
 val spans : t -> Span.collector option
 val recorder : t -> Recorder.t option

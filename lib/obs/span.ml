@@ -9,6 +9,11 @@ type kind =
   | Pf_settle
   | Pf_hit
   | Trap
+  | Call
+  | Degrade of { level : int; observed_pct : int }
+  | Policy_switch of { from_pf : string; to_pf : string }
+  | Epoch
+  | Loop_version of { clean : bool }
 
 type edge = E_trigger | E_member | E_retry | E_satisfy | E_trap
 
@@ -45,6 +50,16 @@ let kind_name = function
   | Pf_settle -> "pf-settle"
   | Pf_hit -> "pf-hit"
   | Trap -> "trap"
+  | Call -> "call"
+  | Degrade _ -> "degrade"
+  | Policy_switch _ -> "policy-switch"
+  | Epoch -> "epoch"
+  | Loop_version _ -> "loop-version"
+
+let is_mark = function
+  | Call | Degrade _ | Policy_switch _ | Epoch | Loop_version _ -> true
+  | Demand | Escalated | Retry | Prefetch | Batch | Pf_settle | Pf_hit | Trap ->
+    false
 
 let edge_name = function
   | E_trigger -> "trigger"
@@ -73,8 +88,6 @@ let create ?(rate = 1.0) () =
     c_inflight = Hashtbl.create 64;
     c_listener = None }
 
-let rate c = c.c_rate
-
 let sampled c =
   c.c_rate >= 1.0
   ||
@@ -94,6 +107,16 @@ let add c s =
   match c.c_listener with Some f -> f s | None -> ()
 
 let length c = Vec.length c.c_spans
+
+let call c ~since ~fn ~issued ~complete =
+  if length c > since then
+    add c
+      { sp_id = fresh c; sp_kind = Call; sp_parent = -1; sp_edge = None;
+        sp_ds = 0; sp_obj = 0; sp_fn = fn; sp_block = 0; sp_instr = 0;
+        sp_issued = issued; sp_start = issued; sp_complete = complete;
+        sp_queued = 0; sp_proto = 0; sp_wire = 0; sp_retry = 0;
+        sp_pf_wait = 0; sp_trap = 0; sp_qp = -1; sp_bytes = 0;
+        sp_fault = None }
 
 let spans c = Vec.to_list c.c_spans
 
@@ -138,7 +161,9 @@ let cpu_totals c =
       | Retry -> retry := !retry + s.sp_retry
       | Pf_settle -> pf_wait := !pf_wait + s.sp_pf_wait
       | Trap -> trap := !trap + s.sp_trap
-      | Prefetch | Batch | Pf_hit -> ())
+      | Prefetch | Batch | Pf_hit | Call | Degrade _ | Policy_switch _ | Epoch
+      | Loop_version _ ->
+        ())
     c;
   { tot_queue = queue;
     tot_proto = !proto;

@@ -45,6 +45,19 @@
     rather than CPU stall: their phase fields exist for timeline
     rendering but are excluded from {!cpu_totals}.
 
+    The collector is the run's only observation stream, so it also
+    holds {e marks}: zero-phase root spans that place the fabric
+    spans in their context.  An interpreted call during which some
+    span was recorded closes as a {!Call} span on the interpreter row
+    (a duration, [sp_fn] the callee), so the call stack appears
+    wherever there is fabric activity without one record per call;
+    the runtime's policy changes ({!Degrade}, {!Policy_switch},
+    {!Epoch}, {!Loop_version}) are zero-duration marks whose payload
+    rides in the kind.  Marks are never sampled — the occasions
+    recorded at any rate are those recorded without them — and the
+    replay, the reconciliation and the flight recorder skip them
+    ({!is_mark}).
+
     Collection is sampled at a configurable rate with a deterministic
     accumulator (no RNG, so runs stay reproducible) and costs nothing
     when off: the runtime holds [collector option] and every hook is
@@ -64,6 +77,17 @@ type kind =
   | Pf_hit  (** an access satisfied by a timely prefetch — zero
                 stall, recorded for the causal chain only *)
   | Trap  (** a clean-fault trap on the unguarded path *)
+  | Call  (** mark: an interpreted call to [sp_fn] during which at
+              least one span was recorded *)
+  | Degrade of { level : int; observed_pct : int }
+      (** mark: the prefetch window narrowed (or re-widened) to
+          [level] (0 = full width) because the observed fault rate
+          over the sliding window hit [observed_pct] percent *)
+  | Policy_switch of { from_pf : string; to_pf : string }
+      (** mark: adaptive mode changed this structure's prefetcher *)
+  | Epoch  (** mark: an adaptive-mode epoch boundary *)
+  | Loop_version of { clean : bool }
+      (** mark: a versioned loop was entered, clean or instrumented *)
 
 type edge =
   | E_trigger  (** prefetch/batch <- the access that ran the prefetcher *)
@@ -99,6 +123,10 @@ type t = {
 val kind_name : kind -> string
 val edge_name : edge -> string
 
+val is_mark : kind -> bool
+(** [Call] and the policy changes: no phases, no parent, never
+    sampled. *)
+
 val stall : t -> int
 (** Sum of the six phase fields: the CPU cycles this span explains. *)
 
@@ -110,8 +138,6 @@ val create : ?rate:float -> unit -> collector
 (** [rate] (default 1.0, clamped to \[0, 1\]) is the fraction of
     top-level occasions recorded, via a deterministic accumulator:
     rate 1.0 records everything, 0.5 every other occasion. *)
-
-val rate : collector -> float
 
 val sampled : collector -> bool
 (** One sampling decision.  The runtime calls this once per occasion
@@ -125,6 +151,12 @@ val fresh : collector -> int
 
 val add : collector -> t -> unit
 (** Record a completed span (and notify the listener, if any). *)
+
+val call :
+  collector -> since:int -> fn:string -> issued:int -> complete:int -> unit
+(** Close an interpreted call to [fn] that ran from [issued] to
+    [complete]: adds a {!Call} mark iff the collector has grown past
+    [since] spans (its {!length} when the call began). *)
 
 val length : collector -> int
 val spans : collector -> t list

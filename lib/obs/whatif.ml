@@ -197,7 +197,10 @@ let predict ~total col sc =
         let new_stall = scale_phase f.f_trap s.sp_trap in
         cpu_shift := !cpu_shift + (s.sp_trap - new_stall);
         note_chain s new_stall
-      | Span.Pf_hit -> note_chain s 0)
+      | Span.Pf_hit -> note_chain s 0
+      | Span.Call | Span.Degrade _ | Span.Policy_switch _ | Span.Epoch
+      | Span.Loop_version _ ->
+        ())
     spans;
   let predicted = max 0 (total - !cpu_shift) in
   { p_scenario = sc;

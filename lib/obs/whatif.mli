@@ -30,6 +30,8 @@
       their wait from when the prefetch {e now} lands relative to when
       the access {e now} happens — a faster wire shrinks late-prefetch
       waits without being asked to.
+    - Marks ({!Span.is_mark}: calls and policy changes) carry no phase
+      and are skipped.
     - The identity scenario (every factor 1.0) produces zero shift
       everywhere and therefore predicts the measured run {e exactly};
       this is asserted, not hoped for.

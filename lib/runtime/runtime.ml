@@ -1,6 +1,5 @@
 module Fabric = Cards_net.Fabric
 module Sink = Cards_obs.Sink
-module Event = Cards_obs.Event
 module Profile = Cards_obs.Profile
 module Metrics = Cards_obs.Metrics
 module Attribution = Cards_obs.Attribution
@@ -221,7 +220,6 @@ type t = {
   stats : Rt_stats.t;
   unmanaged_st : Rt_stats.ds;     (* the stats bucket of handle 0 *)
   obs : Sink.t;
-  tracing : bool;                 (* [Sink.tracing obs], fixed at create *)
   sampling : bool;                (* [Sink.sampling obs], fixed at create *)
   prof : Profile.t;
   attr : Attribution.t;
@@ -235,10 +233,10 @@ type t = {
   (* Causal span layer.  [spans] is the sink's collector, cached so
      every hook is one [match] on an immutable field — [None] means
      spans are off and the hook is a no-op costing one branch, which
-     is how tracing off stays the seed fast path.  [cur_span] is the
-     id of the current access's span (demand completion, settle, or
-     timely hit), the [E_trigger] parent for any prefetch the access
-     sets off; -1 between spanned accesses.  Span recording never
+     is how observability off stays the seed fast path.  [cur_span] is
+     the id of the current access's span (demand completion, settle,
+     or timely hit), the [E_trigger] parent for any prefetch the
+     access sets off; -1 between spanned accesses.  Span recording never
      touches [clock], so spanning on is cycle-identical by
      construction. *)
   spans : Span.collector option;
@@ -311,7 +309,6 @@ let create ?(obs = Sink.null) cfg infos =
     stats;
     unmanaged_st = Rt_stats.unmanaged_bucket stats;
     obs;
-    tracing = Sink.tracing obs;
     sampling = Sink.sampling obs;
     prof = Profile.create ();
     attr = Attribution.create ();
@@ -380,6 +377,15 @@ let mk_span t ~id ~kind ~parent ?edge ~ds ~obj ~issued ~start ~complete
     sp_complete = complete; sp_queued = queued; sp_proto = proto;
     sp_wire = wire; sp_retry = retry; sp_pf_wait = pf_wait; sp_trap = trap;
     sp_qp = qp; sp_bytes = bytes; sp_fault = fault }
+
+(* A mark (Span.is_mark): a zero-phase root span at the current cycle
+   and site.  It takes no sampling decision, so the occasions recorded
+   at any span rate are the same with or without marks. *)
+let mark t c ~ds kind =
+  let now = t.clock.cycles in
+  Span.add c
+    (mk_span t ~id:(Span.fresh c) ~kind ~parent:(-1) ~ds ~obj:0 ~issued:now
+       ~start:now ~complete:now ~bytes:0 ())
 
 (* One-shot post-mortem dump through the sink's reporter; armed by
    [Sink.create ~postmortem:true], consumed by the first trap or
@@ -473,19 +479,12 @@ let evict_until_fits t =
           incr wb_count;
           wb_bytes := !wb_bytes + obj_size d
         end
-        else Fabric.writeback t.fabric ~now:t.clock.cycles ~bytes:(obj_size d);
-        if t.tracing then
-          Sink.emit t.obs
-            (Event.make ~cycle:t.clock.cycles ~ds:h ~obj:o
-               (Event.Writeback { bytes = obj_size d }))
+        else Fabric.writeback t.fabric ~now:t.clock.cycles ~bytes:(obj_size d)
       end;
       d.objs.(o) <- 0;
       t.remotable_used <- t.remotable_used - obj_size d;
       d.resident_bytes <- d.resident_bytes - obj_size d;
-      d.st.evictions <- d.st.evictions + 1;
-      if t.tracing then
-        Sink.emit t.obs
-          (Event.make ~cycle:t.clock.cycles ~ds:h ~obj:o (Event.Evict { dirty }))
+      d.st.evictions <- d.st.evictions + 1
     end
   done;
   if !wb_count > 0 then
@@ -690,7 +689,7 @@ let prefetch_viable t (d : ds) h o =
 (* [span] is the in-flight object's prefetch span (-1 when the issue
    occasion was unsampled): the eventual settle or timely hit will
    claim it as an [E_satisfy] parent. *)
-let mark_prefetched t (d : ds) ~origin_obj (td : ds) o ~completion ~span =
+let mark_prefetched t (d : ds) (td : ds) o ~completion ~span =
   (match t.spans with
   | Some c when span >= 0 ->
     Span.note_inflight c ~ds:td.handle ~obj:o ~span
@@ -707,24 +706,7 @@ let mark_prefetched t (d : ds) ~origin_obj (td : ds) o ~completion ~span =
   (* Adaptation is judged at the *originating* structure — its
      prefetcher made the call, even for cross-structure targets. *)
   d.epoch_issued <- d.epoch_issued + 1;
-  if t.tracing then
-    Sink.emit t.obs
-      (Event.make ~cycle:t.clock.cycles ~ds:td.handle ~obj:o
-         (Event.Prefetch_issue
-            { origin_ds = d.handle; origin_obj }));
   clock_insert t td o
-
-(* One QP occupancy span per fabric request, on the queue pair's own
-   Chrome-trace row: when it picked the transfer up and how long it
-   held the link (protocol + serialization; queueing is the gap before
-   [t_start]).  [ds] is the structure whose access put it on the wire. *)
-let emit_qp_busy t ~ds ~obj (tr : Fabric.transfer) =
-  if t.tracing then
-    Sink.emit t.obs
-      (Event.make ~cycle:tr.Fabric.t_start ~ds ~obj
-         (Event.Qp_busy
-            { qp = tr.Fabric.t_qp;
-              busy = tr.Fabric.t_proto + tr.Fabric.t_ser }))
 
 (* ---------- fault-rate tracking and graceful degradation ---------- *)
 
@@ -748,12 +730,13 @@ let note_fault_outcome t faulted =
         t.degrade <- t.degrade + delta;
         t.degrade_cooldown <- degrade_cooldown_len;
         note t.stats;
-        if t.tracing then
-          Sink.emit t.obs
-            (Event.make ~cycle:t.clock.cycles ~ds:0 ~obj:0
-               (Event.Degrade
-                  { level = t.degrade;
-                    observed_pct = 100 * t.fw_faults / t.fw_len }))
+        match t.spans with
+        | Some c ->
+          mark t c ~ds:0
+            (Span.Degrade
+               { level = t.degrade;
+                 observed_pct = 100 * t.fw_faults / t.fw_len })
+        | None -> ()
       in
       if t.fw_faults * 8 > t.fw_len && t.degrade < degrade_max then
         step 1 Rt_stats.note_degrade_step
@@ -761,18 +744,6 @@ let note_fault_outcome t faulted =
         step (-1) Rt_stats.note_recover_step
     end
   end
-
-(* One transfer attempt's outcome, [None] for a clean completion and
-   [Some kind] for an injected fault (a NACK is [Some Transient]):
-   into the degradation window, and a fault into the trace. *)
-let note_attempt t ~ds ~obj = function
-  | None -> note_fault_outcome t false
-  | Some kind ->
-    note_fault_outcome t true;
-    if t.tracing then
-      Sink.emit t.obs
-        (Event.make ~cycle:t.clock.cycles ~ds ~obj
-           (Event.Fault_inject { kind = Fabric.fault_kind_name kind }))
 
 (* Effective prefetch fan-out after degradation: each step halves the
    structure's configured depth (its byte-derived depth in byte-budget
@@ -803,21 +774,19 @@ let prefetch_span t (td : ds) o (tr : Fabric.transfer) =
 
 (* A single-object prefetch: a batch of one, and every target in
    unbatched mode. *)
-let issue_one t (d : ds) ~origin_obj (td : ds) o =
+let issue_one t (d : ds) (td : ds) o =
   match
     Fabric.fetch_attempt t.fabric ~scale:td.scale ~now:t.clock.cycles
       ~bytes:(obj_size td)
   with
   | Error _ ->
     Rt_stats.note_pf_failed t.stats;
-    note_attempt t ~ds:td.handle ~obj:o (Some Fabric.Transient)
+    note_fault_outcome t true
   | Ok tr ->
     td.st.fetched_bytes <- td.st.fetched_bytes + obj_size td;
-    note_attempt t ~ds:td.handle ~obj:o tr.Fabric.t_fault;
-    emit_qp_busy t ~ds:d.handle ~obj:origin_obj tr;
+    note_fault_outcome t (Option.is_some tr.Fabric.t_fault);
     let span = prefetch_span t td o tr in
-    mark_prefetched t d ~origin_obj td o ~completion:tr.Fabric.t_complete
-      ~span
+    mark_prefetched t d td o ~completion:tr.Fabric.t_complete ~span
 
 (* Prefetch issue: everything one prefetcher call produced — unit-stride
    windows and cross-structure fanout alike — goes to the fabric as a
@@ -847,7 +816,7 @@ let issue_prefetch_batch t (d : ds) ~origin_obj =
   b.Prefetcher.n <- !n;
   if !n > 1 then Prefetcher.sort_uniq b;
   let n = b.Prefetcher.n in
-  if n = 1 then issue_one t d ~origin_obj (get_ds t a.(0)) a.(1)
+  if n = 1 then issue_one t d (get_ds t a.(0)) a.(1)
   else if n > 1 then begin
     let sizes = Array.make n 0 in
     for i = 0 to n - 1 do
@@ -860,19 +829,13 @@ let issue_prefetch_batch t (d : ds) ~origin_obj =
     | Error _ ->
       (* The whole coalesced request was NACKed: every target dropped. *)
       Rt_stats.note_pf_failed t.stats;
-      note_attempt t ~ds:d.handle ~obj:origin_obj (Some Fabric.Transient)
+      note_fault_outcome t true
     | Ok (tr, completions) ->
       for i = 0 to n - 1 do
         let td = get_ds t a.(2 * i) in
         td.st.fetched_bytes <- td.st.fetched_bytes + sizes.(i)
       done;
-      note_attempt t ~ds:d.handle ~obj:origin_obj tr.Fabric.t_fault;
-      emit_qp_busy t ~ds:d.handle ~obj:origin_obj tr;
-      if t.tracing then
-        Sink.emit t.obs
-          (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:origin_obj
-             (Event.Batch_fetch
-                { count = n; bytes = Array.fold_left ( + ) 0 sizes }));
+      note_fault_outcome t (Option.is_some tr.Fabric.t_fault);
       (* One batch span carrying the request's fabric occupancy, then
          one zero-phase member span per object (the batch already
          accounts for the wire; members exist for the causal chain and
@@ -909,8 +872,7 @@ let issue_prefetch_batch t (d : ds) ~origin_obj =
             id
           | None -> -1
         in
-        mark_prefetched t d ~origin_obj td o ~completion:completions.(i)
-          ~span
+        mark_prefetched t d td o ~completion:completions.(i) ~span
       done
   end
 
@@ -921,11 +883,11 @@ let epoch_min_signal = 32     (* misses+uses needed to judge coverage *)
 let epoch_min_coverage = 0.25
 let reexplore_cooldown = 4 (* epochs spent off before retrying *)
 
-let emit_policy_switch t (d : ds) ~from_pf =
-  if t.tracing then
-    Sink.emit t.obs
-      (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:0
-         (Event.Policy_switch { from_pf; to_pf = pf_name d }))
+let mark_policy_switch t (d : ds) ~from_pf =
+  match t.spans with
+  | Some c ->
+    mark t c ~ds:d.handle (Span.Policy_switch { from_pf; to_pf = pf_name d })
+  | None -> ()
 
 (* Adaptive mode (paper: "standard prefetching metrics, such as
    accuracy and coverage, are used to evaluate the effectiveness of
@@ -942,9 +904,9 @@ let adapt_prefetcher t (d : ds) =
     t.cfg.prefetch_mode = Pf_adaptive
     && d.epoch_accesses >= epoch_len
   then begin
-    if t.tracing then
-      Sink.emit t.obs
-        (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:0 Event.Epoch_mark);
+    (match t.spans with
+     | Some c -> mark t c ~ds:d.handle Span.Epoch
+     | None -> ());
     (match d.pf with
      | None ->
        if d.pf_cooldown > 0 then begin
@@ -956,7 +918,7 @@ let adapt_prefetcher t (d : ds) =
                        ~depth:(info_prefetch_depth t d.info);
              d.pf_candidates <- rest;
              d.pf_switches <- d.pf_switches + 1;
-             emit_policy_switch t d ~from_pf:"off"
+             mark_policy_switch t d ~from_pf:"off"
            | [] -> ()
          end
        end
@@ -987,7 +949,7 @@ let adapt_prefetcher t (d : ds) =
             d.pf <- Prefetcher.of_class next
                       ~depth:(info_prefetch_depth t d.info);
             d.pf_candidates <- rest);
-         emit_policy_switch t d ~from_pf
+         mark_policy_switch t d ~from_pf
        end);
     d.epoch_accesses <- 0;
     d.epoch_issued <- 0;
@@ -1022,7 +984,7 @@ let run_prefetcher t (d : ds) ~obj ~missed =
        for i = 0 to b.Prefetcher.n - 1 do
          let o = a.((2 * i) + 1) in
          let h = prefetch_viable t d a.(2 * i) o in
-         if h > 0 then issue_one t d ~origin_obj:obj (get_ds t h) o
+         if h > 0 then issue_one t d (get_ds t h) o
        done
      end);
   if t.cfg.prefetch_mode = Pf_adaptive then adapt_prefetcher t d
@@ -1041,10 +1003,6 @@ let settle_inflight t (d : ds) o =
       stall t ~ds:d.handle Attribution.Pf_wait wait;
       Profile.record_latency d.prof wait;
       d.st.prefetch_late <- d.st.prefetch_late + 1;
-      if t.tracing then
-        Sink.emit t.obs
-          (Event.make ~cycle:start ~ds:d.handle ~obj:o
-             (Event.Prefetch_late { wait }));
       (* The late-settle span owns the whole Pf_wait charge and claims
          the in-flight prefetch span as its [E_satisfy] parent. *)
       (match t.spans with
@@ -1083,11 +1041,6 @@ let land_fetch t (d : ds) o (tr : Fabric.transfer) ~start ~root ~span_parent
   d.objs.(o) <- d.objs.(o) lor b_resident;
   d.st.remote_faults <- d.st.remote_faults + 1;
   d.epoch_faults <- d.epoch_faults + 1;
-  if t.tracing then
-    Sink.emit t.obs
-      (Event.make ~cycle:start ~ds:d.handle ~obj:o
-         (Event.Remote_fault { queued; stall = waited }));
-  emit_qp_busy t ~ds:d.handle ~obj:o tr;
   (* The completion span mirrors the three ledger charges above
      field for field: queued -> Queue t_qp, proto + mapping ->
      Proto, ser -> Wire. *)
@@ -1151,7 +1104,7 @@ let demand_fetch t (d : ds) o ~span_parent =
         (* The CPU waited for the NACK: queueing + protocol turnaround. *)
         let c = f.Fabric.f_fail - t.clock.cycles in
         if c > 0 then stall t ~ds:d.handle Attribution.Retry c;
-        note_attempt t ~ds:d.handle ~obj:o (Some Fabric.Transient);
+        note_fault_outcome t true;
         Some "transient"
       | Ok tr -> (
         (* The fabric counted this transfer's bytes the moment it
@@ -1166,16 +1119,12 @@ let demand_fetch t (d : ds) o ~span_parent =
           (* Only late-faulted attempts can time out — legitimate
              queueing never trips this, so a healthy loaded fabric
              cannot start a retry storm. *)
-          note_attempt t ~ds:d.handle ~obj:o (Some Fabric.Late);
+          note_fault_outcome t true;
           Rt_stats.note_timeout t.stats;
-          if t.tracing then
-            Sink.emit t.obs
-              (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:o
-                 (Event.Fetch_timeout { budget = fetch_timeout_cycles }));
           stall t ~ds:d.handle Attribution.Retry fetch_timeout_cycles;
           Some "late"
         | kind ->
-          note_attempt t ~ds:d.handle ~obj:o kind;
+          note_fault_outcome t (Option.is_some kind);
           land_fetch t d o tr ~start ~root ~span_parent ~escalated:false;
           landed := true;
           None)
@@ -1196,10 +1145,6 @@ let demand_fetch t (d : ds) o ~span_parent =
       else begin
         let wait = retry_backoff_cycles lsl min !n 6 in
         Rt_stats.note_retry t.stats;
-        if t.tracing then
-          Sink.emit t.obs
-            (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:o
-               (Event.Retry_backoff { attempt = !n + 1; wait }));
         stall t ~ds:d.handle Attribution.Retry wait;
         retry_span t d o ~root ~issued:!issued ~fault:failed;
         issued := t.clock.cycles;
@@ -1239,11 +1184,7 @@ let note_prefetch_hit t (d : ds) o ~timely =
              ~complete:t.clock.cycles ~bytes:(obj_size d) ());
         t.cur_span <- id
       | _ -> ()
-    end;
-    if t.tracing then
-      Sink.emit t.obs
-        (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:o
-           (Event.Prefetch_use { timely }))
+    end
   end
 
 let guard t ~write addr =
@@ -1266,16 +1207,10 @@ let guard t ~write addr =
         note_prefetch_hit t d o ~timely;
         stall t ~ds:d.handle Attribution.Guard_exec local_cost;
         d.st.guard_hits <- d.st.guard_hits + 1;
-        if t.tracing then
-          Sink.emit t.obs
-            (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:o Event.Guard_hit);
         false
       end
       else begin
         stall t ~ds:d.handle Attribution.Guard_exec local_cost;
-        if t.tracing then
-          Sink.emit t.obs
-            (Event.make ~cycle:t.clock.cycles ~ds:d.handle ~obj:o Event.Guard_miss);
         demand_fetch t d o ~span_parent:(-1);
         true
       end
@@ -1303,10 +1238,9 @@ let loop_check t addrs =
       stall t ~ds:0 Attribution.Bookkeeping t.cfg.cost.loop_check_per_ds;
       if Addr.is_managed addr then ok := false)
     addrs;
-  if t.tracing then
-    Sink.emit t.obs
-      (Event.make ~cycle:t.clock.cycles ~ds:0 ~obj:0
-         (Event.Loop_version { clean = !ok }));
+  (match t.spans with
+   | Some c -> mark t c ~ds:0 (Span.Loop_version { clean = !ok })
+   | None -> ());
   !ok
 
 (* ---------- data accesses ---------- *)
@@ -1338,13 +1272,7 @@ let clean_fault t (d : ds) o ~write =
     | _ -> -1
   in
   demand_fetch t d o ~span_parent:trap_sp;
-  d.st.clean_faults <- d.st.clean_faults + 1;
-  (* The event covers trap + fetch; the nested [Remote_fault] appears
-     inside it. *)
-  if t.tracing then
-    Sink.emit t.obs
-      (Event.make ~cycle:start ~ds:d.handle ~obj:o
-         (Event.Clean_fault { stall = t.clock.cycles - start }))
+  d.st.clean_faults <- d.st.clean_faults + 1
 
 (* The one access path, for both engines.  Returns the access's backing
    bytes; its offset in them is [Addr.offset_of addr].  A resident

@@ -107,7 +107,7 @@ exception Runtime_error of string
 (** Wild pointers, out-of-range handles, pool overflows. *)
 
 val create : ?obs:Cards_obs.Sink.t -> config -> Static_info.t array -> t
-(** [obs] (default {!Cards_obs.Sink.null}) receives trace events and
+(** [obs] (default {!Cards_obs.Sink.null}) receives causal spans and
     epoch metric samples.  Observability is read-only with respect to
     simulated time: any sink yields cycle counts bit-identical to a
     run with the null sink. *)
@@ -231,8 +231,8 @@ val pinned_preference : t -> bool array
 (** {2 Observability} *)
 
 val sink : t -> Cards_obs.Sink.t
-(** The sink passed to {!create} (the interpreter fetches it from
-    here to stamp call events). *)
+(** The sink passed to {!create} (the interpreter caches its span
+    collector from here to record call spans). *)
 
 val profile : t -> Cards_obs.Profile.t
 (** The always-on profile: the compute counter {!charge} feeds, plus

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Tier-1 gate: the whole build, the whole test suite, an
 # observability smoke run (compile + execute a bundled example with
-# tracing, metrics, and the cycle-attribution profile on, then make
-# sure the emitted Chrome trace is non-empty, plus one adaptive-
-# prefetch run with batching off), and the bench
+# causal spans, metrics, and the cycle-attribution profile on, then
+# make sure the emitted Chrome trace is non-empty and shows the call
+# stack, plus one adaptive-prefetch run with batching off), and the bench
 # regression gates: fabric, attribution, fault-injection, causal-span,
 # what-if prediction, execution-engine, layout-factorization and
 # many-tenant serving experiments are diffed against the committed
@@ -86,16 +86,21 @@ echo "== parallel-engine suite (domain matrix + perturbation stress, incl. slow)
 # channel, pool and poison tests — forced on.
 dune exec --no-build test/test_main.exe -- test par -e > /dev/null
 
-echo "== smoke: cards run with --trace/--metrics/--profile"
+echo "== smoke: cards run with --spans/--metrics/--profile"
 trace=$(mktemp /tmp/cards-trace.XXXXXX.json)
 tmpdir=$(mktemp -d /tmp/cards-bench.XXXXXX)
 trap 'rm -f "$trace"; rm -rf "$tmpdir"' EXIT
 dune exec --no-build bin/cards_cli.exe -- run examples/minic/listing1.mc \
   --policy all-remotable --local 1M --remotable 256K \
-  --trace "$trace" --metrics --profile > /dev/null
+  --spans "$trace" --metrics --profile > /dev/null
 test -s "$trace" || { echo "check.sh: empty trace file" >&2; exit 1; }
 grep -q traceEvents "$trace" || {
   echo "check.sh: trace is not a Chrome trace_event file" >&2; exit 1; }
+# The call stack: at least one call span on the interpreter row.
+grep -Eq '"name":"call","cat":"span","ph":"X","ts":[^,]*,"dur":[^,]*,"pid":1,"tid":0,' \
+  "$trace" || {
+  echo "check.sh: trace has no call span on the interpreter row" >&2
+  exit 1; }
 # Adaptive prefetcher selection with unbatched prefetch issue, end to
 # end (no bench gate runs adaptive mode).
 dune exec --no-build bin/cards_cli.exe -- run examples/minic/fig9_list.mc \
@@ -136,10 +141,10 @@ cmp -s "$tmpdir/whatif-1.out" "$tmpdir/whatif-2.out" \
 
 echo "== unwritable output path: named error, exit 1"
 status=0
-cards run examples/minic/listing1.mc --trace "$tmpdir/missing/x.json" \
+cards run examples/minic/listing1.mc --spans "$tmpdir/missing/x.json" \
   > /dev/null 2> "$tmpdir/unwritable.err" || status=$?
 if [ "$status" != 1 ] || ! grep -q '^error: ' "$tmpdir/unwritable.err"; then
-  echo "check.sh: unwritable --trace path exited $status" \
+  echo "check.sh: unwritable --spans path exited $status" \
     "(want 1 with an error: line)" >&2
   exit 1
 fi
@@ -155,8 +160,6 @@ for args in "run examples/minic/listing1.mc --qp 0" "serve --quantum 0" \
     "serve --gap inf" "run examples/minic/listing1.mc -k 5" \
     "run examples/minic/listing1.mc -k-0.5" \
     "run examples/minic/listing1.mc -k nan" \
-    "run examples/minic/listing1.mc --trace-capacity 0" \
-    "run examples/minic/listing1.mc --trace-capacity=-5" \
     "run examples/minic/listing1.mc --retry-max=-1" \
     "run examples/minic/listing1.mc --policy all-remotable --remotable=-5" \
     "run examples/minic/listing1.mc --local=-5" \

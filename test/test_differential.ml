@@ -182,7 +182,8 @@ let test_pointer_chase_worst_cell () =
 (* ---------- span reconciliation oracle ---------- *)
 
 (* Causal tracing differentially, against the same matrix: each cell
-   runs bare, then with span recording at rate 1.0, then at rate 0.5.
+   runs bare, then with span recording at rate 1.0, then at rate 0.5,
+   on both engines.
 
      1. recording is read-only: the traced result record, stats and
         ledger are bit-identical to the bare run's;
@@ -192,7 +193,9 @@ let test_pointer_chase_worst_cell () =
         totals exactly (Proto / Wire / Queue qp / Pf_wait / Retry /
         Trap);
      4. at any rate they never exceed them (sampling only drops
-        occasions, it never invents cycles). *)
+        occasions, it never invents cycles);
+     5. the decoded and reference engines record the same Call spans
+        (callee, entry and return cycle), in the same order. *)
 
 let ledger_cause attr cause =
   List.fold_left
@@ -225,26 +228,41 @@ let check_reconciles ~cell ~exact col attr =
         (ledger_cause attr (O.Attribution.Queue qp)))
     tot.O.Span.tot_queue
 
-let span_cell compiled ~engine ~qp ~batching ~rate =
+let span_cell compiled ~qp ~batching ~rate =
   let cfg = cell_config ~qp ~batching ~rate in
-  let cell =
-    Printf.sprintf "%s %s" (cell_name ~qp ~batching ~rate)
-      (match engine with M.Decoded -> "decoded" | M.Reference -> "ref")
+  let calls_of engine =
+    let cell =
+      Printf.sprintf "%s %s" (cell_name ~qp ~batching ~rate)
+        (match engine with M.Decoded -> "decoded" | M.Reference -> "ref")
+    in
+    let bare_res, bare_rt = P.run ~fuel ~engine compiled cfg in
+    List.map
+      (fun (span_rate, exact) ->
+        let obs = O.Sink.create ~span_rate () in
+        let res, rt = P.run ~fuel ~engine ~obs compiled cfg in
+        check Alcotest.bool (cell ^ ": traced run identical") true
+          (res = bare_res
+           && R.Rt_stats.total (R.Runtime.stats rt)
+              = R.Rt_stats.total (R.Runtime.stats bare_rt)
+           && O.Attribution.cause_totals (R.Runtime.attribution rt)
+              = O.Attribution.cause_totals (R.Runtime.attribution bare_rt));
+        let col = Option.get (O.Sink.spans obs) in
+        check_reconciles ~cell ~exact col (R.Runtime.attribution rt);
+        List.filter_map
+          (fun (s : O.Span.t) ->
+            if s.sp_kind = O.Span.Call then
+              Some (s.sp_fn, s.sp_issued, s.sp_complete)
+            else None)
+          (O.Span.spans col))
+      [ (1.0, true); (0.5, false) ]
   in
-  let bare_res, bare_rt = P.run ~fuel ~engine compiled cfg in
-  List.iter
-    (fun (span_rate, exact) ->
-      let obs = O.Sink.create ~span_rate () in
-      let res, rt = P.run ~fuel ~engine ~obs compiled cfg in
-      check Alcotest.bool (cell ^ ": traced run identical") true
-        (res = bare_res
-         && R.Rt_stats.total (R.Runtime.stats rt)
-            = R.Rt_stats.total (R.Runtime.stats bare_rt)
-         && O.Attribution.cause_totals (R.Runtime.attribution rt)
-            = O.Attribution.cause_totals (R.Runtime.attribution bare_rt));
-      let col = Option.get (O.Sink.spans obs) in
-      check_reconciles ~cell ~exact col (R.Runtime.attribution rt))
-    [ (1.0, true); (0.5, false) ]
+  let decoded = calls_of M.Decoded in
+  check Alcotest.bool (cell_name ~qp ~batching ~rate ^ ": calls recorded") true
+    (List.for_all (fun calls -> calls <> []) decoded);
+  check
+    Alcotest.(list (list (triple string int int)))
+    (cell_name ~qp ~batching ~rate ^ ": engines record the same calls")
+    decoded (calls_of M.Reference)
 
 (* The full matrix, both engines, on a real pointer chase (registered
    Slow; check.sh forces it on). *)
@@ -255,17 +273,12 @@ let test_span_matrix () =
          ~passes:2)
   in
   List.iter
-    (fun engine ->
+    (fun qp ->
       List.iter
-        (fun qp ->
-          List.iter
-            (fun batching ->
-              List.iter
-                (fun rate -> span_cell compiled ~engine ~qp ~batching ~rate)
-                rates)
-            batchings)
-        qps)
-    [ M.Decoded; M.Reference ]
+        (fun batching ->
+          List.iter (fun rate -> span_cell compiled ~qp ~batching ~rate) rates)
+        batchings)
+    qps
 
 (* One nasty cell stays in the quick tier: single queue, no batching,
    20% faults — retries, escalations and trap-forced fetches all land
@@ -276,7 +289,7 @@ let test_span_worst_cell () =
       (Cards_workloads.Pointer_chase.source ~variant:"list" ~scale:512
          ~passes:2)
   in
-  span_cell compiled ~engine:M.Decoded ~qp:1 ~batching:false ~rate:0.2
+  span_cell compiled ~qp:1 ~batching:false ~rate:0.2
 
 let suite =
   [ ("pinned seeds, full matrix", `Slow, test_pinned_seeds);

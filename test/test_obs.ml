@@ -1,7 +1,7 @@
-(* Tests for the observability layer: the event ring, the accounting
-   identity (compute + stall ledger = cycles), epoch metrics, the
-   exporters, and — critically — that observability never perturbs
-   simulated time. *)
+(* Tests for the observability layer: the accounting identity
+   (compute + stall ledger = cycles), epoch metrics, the causal span
+   collector and its exporters, and — critically — that observability
+   never perturbs simulated time. *)
 
 module O = Cards_obs
 module R = Cards_runtime
@@ -12,8 +12,8 @@ module J = Cards_util.Json
 let check = Alcotest.check
 
 (* A pointer-chase under memory pressure: remote faults, queueing,
-   prefetches and evictions all occur, so every bucket and event kind
-   is exercised. *)
+   prefetches and evictions all occur, so every bucket and fabric span
+   kind is exercised. *)
 let chase =
   lazy
     (P.compile_source
@@ -26,8 +26,15 @@ let pressure_cfg =
     local_bytes = 256 * 1024;
     remotable_bytes = 64 * 1024 }
 
-let full_sink () =
-  O.Sink.create ~trace_capacity:200_000 ~metrics_interval:100_000 ()
+let full_sink () = O.Sink.create ~span_rate:1.0 ~metrics_interval:100_000 ()
+
+let spans_of obs =
+  match O.Sink.spans obs with Some c -> c | None -> assert false
+
+let of_kind name col =
+  List.filter
+    (fun (s : O.Span.t) -> O.Span.kind_name s.sp_kind = name)
+    (O.Span.spans col)
 
 (* ---------- cycle attribution ---------- *)
 
@@ -190,105 +197,95 @@ let test_sink_off_bit_identical () =
     traced.instructions;
   check (Alcotest.list Alcotest.string) "output identical" bare.output
     traced.output;
-  (* And the sink actually observed the run. *)
-  (match O.Sink.trace obs with
-   | Some tr -> check Alcotest.bool "events captured" true (O.Trace.length tr > 0)
-   | None -> Alcotest.fail "sink lost its trace");
+  (* And the sink actually observed the run: spans and metrics. *)
+  check Alcotest.bool "spans captured" true (O.Span.length (spans_of obs) > 0);
+  (match O.Sink.metrics obs with
+   | Some m ->
+     check Alcotest.bool "samples taken" true (O.Metrics.n_samples m > 0)
+   | None -> Alcotest.fail "sink lost its metrics");
   ignore rt
 
-(* ---------- the event ring ---------- *)
-
-let mk_ev i =
-  O.Event.make ~cycle:i ~ds:1 ~obj:i O.Event.Guard_hit
-
-let test_ring_keeps_newest () =
-  let tr = O.Trace.create ~capacity:4 in
-  for i = 0 to 9 do
-    O.Trace.add tr (mk_ev i)
-  done;
-  check Alcotest.int "length capped" 4 (O.Trace.length tr);
-  check Alcotest.int "dropped counted" 6 (O.Trace.dropped tr);
-  let cycles = List.map (fun (e : O.Event.t) -> e.ev_cycle) (O.Trace.to_list tr) in
-  check (Alcotest.list Alcotest.int) "newest retained, oldest first"
-    [ 6; 7; 8; 9 ] cycles
-
-let test_ring_under_capacity () =
-  let tr = O.Trace.create ~capacity:8 in
-  for i = 0 to 2 do
-    O.Trace.add tr (mk_ev i)
-  done;
-  check Alcotest.int "length" 3 (O.Trace.length tr);
-  check Alcotest.int "nothing dropped" 0 (O.Trace.dropped tr);
-  let cycles = List.map (fun (e : O.Event.t) -> e.ev_cycle) (O.Trace.to_list tr) in
-  check (Alcotest.list Alcotest.int) "insertion order" [ 0; 1; 2 ] cycles
-
 (* ---------- exporters ---------- *)
+
+let chrome_events s =
+  match Option.bind (J.member "traceEvents" (J.parse s)) J.to_list_opt with
+  | Some l -> l
+  | None -> []
 
 let test_chrome_trace_roundtrips () =
   let obs = full_sink () in
   let _, rt = P.run ~obs (Lazy.force chase) pressure_cfg in
-  let tr = match O.Sink.trace obs with Some t -> t | None -> assert false in
-  let s = O.Export.chrome_trace_string ~names:(R.Runtime.ds_name rt) tr in
-  let j = J.parse s in
   let events =
-    match J.member "traceEvents" j with
-    | Some v -> (match J.to_list_opt v with Some l -> l | None -> [])
-    | None -> []
+    chrome_events
+      (O.Export.spans_chrome_trace_string ~names:(R.Runtime.ds_name rt)
+         (spans_of obs))
   in
   check Alcotest.bool "traceEvents non-empty" true (List.length events > 0);
+  let num e k =
+    match Option.bind (J.member k e) J.to_number_opt with
+    | Some v -> v
+    | None -> Alcotest.failf "event missing %s" k
+  in
   (* Every entry is an object with the mandatory trace_event fields. *)
   List.iter
     (fun e ->
       (match J.member "ph" e with
        | Some (J.Str ph) ->
          check Alcotest.bool "known phase" true
-           (List.mem ph [ "B"; "E"; "X"; "i"; "M" ])
+           (List.mem ph [ "X"; "s"; "f"; "M" ])
        | _ -> Alcotest.fail "event missing ph");
       (match J.member "pid" e with
        | Some (J.Int _) -> ()
        | _ -> Alcotest.fail "event missing pid");
-      match J.member "ph" e with
-      | Some (J.Str "X") -> begin
-        (* Duration spans need a non-negative dur. *)
-        match J.member "dur" e with
-        | Some v -> begin
-          match J.to_number_opt v with
-          | Some d -> check Alcotest.bool "dur >= 0" true (d >= 0.0)
-          | None -> Alcotest.fail "dur not a number"
-        end
-        | None -> Alcotest.fail "X event missing dur"
-      end
-      | _ -> ())
+      (* Duration spans need a non-negative dur. *)
+      if J.member "ph" e = Some (J.Str "X") then
+        check Alcotest.bool "dur >= 0" true (num e "dur" >= 0.0))
     events;
-  (* B/E pairs on the interpreter thread must balance (a trap could
-     legitimately truncate, but this run completes normally). *)
-  let depth =
-    List.fold_left
-      (fun acc e ->
-        match (J.member "ph" e, J.member "tid" e) with
-        | (Some (J.Str "B"), Some (J.Int 0)) -> acc + 1
-        | (Some (J.Str "E"), Some (J.Int 0)) -> acc - 1
-        | _ -> acc)
-      0 events
+  (* The call spans on the interpreter row form a stack: any two are
+     nested or disjoint (up to the microsecond conversion's rounding). *)
+  let calls =
+    List.filter_map
+      (fun e ->
+        match (J.member "name" e, J.member "tid" e) with
+        | Some (J.Str "call"), Some (J.Int 0) ->
+          let ts = num e "ts" in
+          Some (ts, ts +. num e "dur")
+        | _ -> None)
+      events
   in
-  check Alcotest.int "call stack balanced" 0 depth
+  check Alcotest.bool "call spans present" true (calls <> []);
+  let eps = 1e-6 in
+  let nested_or_disjoint (a0, a1) (b0, b1) =
+    a1 <= b0 +. eps || b1 <= a0 +. eps
+    || (a0 <= b0 +. eps && b1 <= a1 +. eps)
+    || (b0 <= a0 +. eps && a1 <= b1 +. eps)
+  in
+  List.iteri
+    (fun i a ->
+      List.iteri
+        (fun j b ->
+          if i < j then
+            check Alcotest.bool "calls nested or disjoint" true
+              (nested_or_disjoint a b))
+        calls)
+    calls
 
 let test_events_jsonl_parses () =
   let obs = full_sink () in
   let _ = P.run ~obs (Lazy.force chase) pressure_cfg in
-  let tr = match O.Sink.trace obs with Some t -> t | None -> assert false in
+  let col = spans_of obs in
   let lines =
-    String.split_on_char '\n' (O.Export.events_jsonl tr)
+    String.split_on_char '\n' (O.Export.spans_jsonl col)
     |> List.filter (fun l -> l <> "")
   in
-  check Alcotest.int "one line per event" (O.Trace.length tr)
+  check Alcotest.int "one line per span" (O.Span.length col)
     (List.length lines);
   List.iter
     (fun line ->
       let j = J.parse line in
-      match (J.member "ev" j, J.member "cycle" j) with
-      | (Some (J.Str _), Some (J.Int _)) -> ()
-      | _ -> Alcotest.fail "event line missing fields")
+      match (J.member "span" j, J.member "kind" j, J.member "issued" j) with
+      | Some (J.Int _), Some (J.Str _), Some (J.Int _) -> ()
+      | _ -> Alcotest.fail "span line missing fields")
     lines
 
 (* The whitespace-separated cells of the rendered row whose first cell
@@ -370,81 +367,85 @@ let test_profile_table_groups_ledger () =
   in
   check Alcotest.(list string) "rows in handle order" rows order
 
-(* ---------- corrected prefetch & batch event fields ---------- *)
+(* ---------- prefetch & batch spans ---------- *)
 
 let test_prefetch_and_batch_events_roundtrip () =
   let obs = full_sink () in
   let _ = P.run ~obs (Lazy.force chase) pressure_cfg in
-  let tr = match O.Sink.trace obs with Some t -> t | None -> assert false in
+  let col = spans_of obs in
   let lines =
-    String.split_on_char '\n' (O.Export.events_jsonl tr)
+    String.split_on_char '\n' (O.Export.spans_jsonl col)
     |> List.filter (fun l -> l <> "")
     |> List.map J.parse
-  in
-  let of_kind k =
-    List.filter
-      (fun j ->
-        match J.member "ev" j with Some (J.Str s) -> s = k | _ -> false)
-      lines
   in
   let int_field name j =
     match J.member name j with
     | Some (J.Int v) -> v
     | _ -> Alcotest.fail (Printf.sprintf "missing int field %S" name)
   in
-  (* Prefetch_issue renders on the *target* structure's row and names
-     its origin explicitly — a cross-structure prefetch must not land
-     on the origin's row with the target's object id. *)
-  let issues = of_kind "prefetch_issue" in
-  check Alcotest.bool "prefetch_issue events present" true (issues <> []);
+  let of_json_kind k =
+    List.filter (fun j -> J.member "kind" j = Some (J.Str k)) lines
+  in
+  (* A prefetch span sits on its *target* structure's row and object,
+     also for a cross-structure prefetch; the access that set it off
+     is its E_trigger parent, not its row. *)
+  let issues = of_json_kind "prefetch" in
+  check Alcotest.bool "prefetch spans present" true (issues <> []);
   List.iter
     (fun j ->
-      check Alcotest.bool "target ds valid" true (int_field "ds" j >= 0);
-      check Alcotest.bool "target obj valid" true (int_field "obj" j >= 0);
-      check Alcotest.bool "origin_ds valid" true (int_field "origin_ds" j >= 0);
-      check Alcotest.bool "origin_obj valid" true
-        (int_field "origin_obj" j >= 0))
+      check Alcotest.bool "target ds is a structure" true
+        (int_field "ds" j >= 1);
+      check Alcotest.bool "target obj valid" true (int_field "obj" j >= 0))
     issues;
-  (* Batch_fetch events carry the coalesced object count and payload
-     bytes; under pressure at least one real (multi-object) batch goes
-     out. *)
-  let batches = of_kind "batch_fetch" in
-  check Alcotest.bool "batch_fetch events present" true (batches <> []);
+  (* Each batch carries its payload bytes and is the E_member parent
+     of at least two prefetch spans; under pressure at least one real
+     (multi-object) batch goes out. *)
+  let batches = of_json_kind "batch" in
+  check Alcotest.bool "batch spans present" true (batches <> []);
+  let members = Hashtbl.create 64 in
   List.iter
     (fun j ->
-      check Alcotest.bool "count >= 2" true (int_field "count" j >= 2);
+      if J.member "edge" j = Some (J.Str "member") then
+        let p = int_field "parent" j in
+        Hashtbl.replace members p
+          (1 + Option.value ~default:0 (Hashtbl.find_opt members p)))
+    issues;
+  List.iter
+    (fun j ->
+      let id = int_field "span" j in
+      check Alcotest.bool "members >= 2" true
+        (Option.value ~default:0 (Hashtbl.find_opt members id) >= 2);
       check Alcotest.bool "bytes > 0" true (int_field "bytes" j > 0))
     batches
 
-(* QP occupancy rows in the Chrome trace: each inbound queue pair gets
-   its own thread row with duration spans. *)
+(* QP rows in the Chrome trace: fabric spans sit on their inbound
+   queue pair's own, labelled thread row. *)
 let test_chrome_trace_qp_rows () =
   let obs = full_sink () in
   let _, rt = P.run ~obs (Lazy.force chase) pressure_cfg in
-  let tr = match O.Sink.trace obs with Some t -> t | None -> assert false in
-  let s = O.Export.chrome_trace_string ~names:(R.Runtime.ds_name rt) tr in
-  let j = J.parse s in
   let events =
-    match Option.bind (J.member "traceEvents" j) J.to_list_opt with
-    | Some l -> l
-    | None -> []
+    chrome_events
+      (O.Export.spans_chrome_trace_string ~names:(R.Runtime.ds_name rt)
+         (spans_of obs))
   in
-  let qp_spans =
+  let fabric =
     List.filter
       (fun e ->
-        match (J.member "name" e, J.member "ph" e) with
-        | (Some (J.Str "qp_busy"), Some (J.Str "X")) -> true
-        | _ -> false)
+        J.member "ph" e = Some (J.Str "X")
+        && List.exists
+             (fun k -> J.member "name" e = Some (J.Str k))
+             [ "demand"; "prefetch"; "batch" ])
       events
   in
-  check Alcotest.bool "qp_busy spans present" true (qp_spans <> []);
+  check Alcotest.bool "fabric spans present" true (fabric <> []);
   List.iter
     (fun e ->
       match J.member "tid" e with
       | Some (J.Int tid) ->
-        check Alcotest.bool "qp span on a qp thread row" true (tid >= 100_000)
-      | _ -> Alcotest.fail "qp span missing tid")
-    qp_spans;
+        check Alcotest.bool "fabric span on a qp thread row" true
+          (tid >= 100_000)
+      | _ -> Alcotest.fail "fabric span missing tid")
+    fabric;
   (* And those rows are labelled. *)
   let labelled =
     List.exists
@@ -460,18 +461,16 @@ let test_chrome_trace_qp_rows () =
   in
   check Alcotest.bool "qp thread row named" true labelled
 
-(* Exporters must behave on a run that produced no events and no
+(* Exporters must behave on a run that recorded no spans and no
    latencies at all (e.g. a pure-compute program). *)
 let test_exporters_on_zero_event_run () =
-  let tr = O.Trace.create ~capacity:16 in
-  let s = O.Export.chrome_trace_string tr in
-  let j = J.parse s in
-  (match Option.bind (J.member "traceEvents" j) J.to_list_opt with
-   | Some evs ->
-     (* Only the process-name metadata record. *)
-     check Alcotest.bool "only metadata" true (List.length evs <= 1)
-   | None -> Alcotest.fail "no traceEvents");
-  check Alcotest.string "empty jsonl" "" (O.Export.events_jsonl tr);
+  let col = O.Span.create () in
+  check Alcotest.int "only the process-name metadata record" 1
+    (List.length (chrome_events (O.Export.spans_chrome_trace_string col)));
+  check Alcotest.string "empty jsonl" "" (O.Export.spans_jsonl col);
+  check Alcotest.string "empty folded" "" (O.Export.spans_folded col);
+  check Alcotest.bool "no critical path" true
+    (O.Critical_path.analyze col = None);
   let prof = O.Profile.create () in
   let names _ = "x" in
   ignore (Cards_util.Table.render (O.Export.latency_table prof));
@@ -575,18 +574,6 @@ let test_metrics_sampled () =
   let seen = Hashtbl.length last_guards in
   check Alcotest.int "every structure sampled" dss seen
 
-let test_metrics_jsonl_parses () =
-  let obs = O.Sink.create ~metrics_interval:50_000 () in
-  let _ = P.run ~obs (Lazy.force chase) pressure_cfg in
-  let m = match O.Sink.metrics obs with Some m -> m | None -> assert false in
-  let lines =
-    String.split_on_char '\n' (O.Export.metrics_jsonl m)
-    |> List.filter (fun l -> l <> "")
-  in
-  check Alcotest.int "one line per sample" (O.Metrics.n_samples m)
-    (List.length lines);
-  List.iter (fun l -> ignore (J.parse l)) lines
-
 (* ---------- json codec ---------- *)
 
 let test_json_roundtrip () =
@@ -688,6 +675,9 @@ let test_critical_path_synthetic_chain () =
       ~edge:O.Span.E_satisfy ~pf_wait:50 ~issued:100 ()
   in
   let _b = mk_span col ~queued:120 () in
+  (* A call mark closing after the fetches it contains changes
+     nothing: marks are not analyzed. *)
+  O.Span.call col ~since:0 ~fn:"main" ~issued:0 ~complete:10_000;
   match O.Critical_path.analyze col with
   | None -> Alcotest.fail "no report"
   | Some r ->
@@ -706,6 +696,9 @@ let test_recorder_ring_bound () =
   let rec_ = O.Recorder.create ~capacity:8 () in
   let col = O.Span.create () in
   O.Span.set_listener col (O.Recorder.add rec_);
+  ignore (mk_span col ~proto:1 ());
+  O.Span.call col ~since:0 ~fn:"main" ~issued:0 ~complete:1;
+  check Alcotest.int "marks skip the recorder" 1 (O.Recorder.ring_length rec_);
   for _ = 1 to 100 do
     ignore (mk_span col ~proto:1 ())
   done;
@@ -802,6 +795,64 @@ let test_span_chrome_export_flow_events () =
   check Alcotest.int "one X per span" 2 (List.length (phases "X"));
   check Alcotest.int "flow start per edge" 1 (List.length (phases "s"));
   check Alcotest.int "flow finish per edge" 1 (List.length (phases "f"))
+
+(* Calls and policy changes as marks, on a pressure chase under
+   adaptive prefetching and a faulty fabric: one Degrade span per
+   degradation or recovery step, one Policy_switch span per prefetcher
+   switch, and — marks never being sampled — the same calls and policy
+   changes at span rates 1.0 and 0.5. *)
+let test_span_marks () =
+  let cfg =
+    { pressure_cfg with
+      R.Runtime.prefetch_mode = R.Runtime.Pf_adaptive;
+      fabric_config =
+        { pressure_cfg.R.Runtime.fabric_config with
+          Cards_net.Fabric.faults =
+            { Cards_net.Fabric.no_faults with
+              Cards_net.Fabric.fault_rate = 0.2; fault_seed = 11 } } }
+  in
+  let marks rate =
+    let obs = O.Sink.create ~span_rate:rate () in
+    let _, rt = P.run ~obs (Lazy.force chase) cfg in
+    let col = spans_of obs in
+    List.iter
+      (fun (s : O.Span.t) ->
+        if O.Span.is_mark s.sp_kind then begin
+          check Alcotest.int "a mark has no parent" (-1) s.sp_parent;
+          check Alcotest.int "a mark has no phases" 0 (O.Span.stall s)
+        end)
+      (O.Span.spans col);
+    (* The chase's [rnd] is called once per node and never touches a
+       managed structure: a call during which no span was recorded
+       leaves no Call span. *)
+    check Alcotest.bool "span-less calls leave no call span" true
+      (List.for_all
+         (fun (s : O.Span.t) -> s.sp_fn <> "rnd")
+         (of_kind "call" col));
+    let count k = List.length (of_kind k col) in
+    (rt, List.map (fun k -> (k, count k))
+           [ "call"; "degrade"; "policy-switch"; "epoch"; "loop-version" ])
+  in
+  let rt, full = marks 1.0 in
+  let st = R.Runtime.stats rt in
+  let n k = List.assoc k full in
+  check Alcotest.bool "the run degraded" true (R.Rt_stats.degrade_steps st > 0);
+  check Alcotest.int "one degrade span per step"
+    (R.Rt_stats.degrade_steps st + R.Rt_stats.recover_steps st)
+    (n "degrade");
+  let switches =
+    List.fold_left
+      (fun acc (r : R.Runtime.ds_report) -> acc + r.r_pf_switches)
+      0 (R.Runtime.report rt)
+  in
+  check Alcotest.bool "adaptive mode switched" true (switches > 0);
+  check Alcotest.int "one policy-switch span per switch" switches
+    (n "policy-switch");
+  check Alcotest.bool "calls recorded" true (n "call" > 0);
+  let _, half = marks 0.5 in
+  check
+    Alcotest.(list (pair string int))
+    "marks are not sampled" full half
 
 (* ---------- what-if virtual speedups ---------- *)
 
@@ -1266,8 +1317,6 @@ let suite =
     Alcotest.test_case "regression gate" `Quick test_regress_clean_and_perturbed;
     Alcotest.test_case "full sink is cycle-identical" `Quick
       test_sink_off_bit_identical;
-    Alcotest.test_case "ring keeps newest" `Quick test_ring_keeps_newest;
-    Alcotest.test_case "ring under capacity" `Quick test_ring_under_capacity;
     Alcotest.test_case "chrome trace round-trips" `Quick
       test_chrome_trace_roundtrips;
     Alcotest.test_case "events jsonl parses" `Quick test_events_jsonl_parses;
@@ -1278,7 +1327,6 @@ let suite =
     Alcotest.test_case "profile table groups the ledger" `Quick
       test_profile_table_groups_ledger;
     Alcotest.test_case "metrics sampled" `Quick test_metrics_sampled;
-    Alcotest.test_case "metrics jsonl parses" `Quick test_metrics_jsonl_parses;
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json rejects garbage" `Quick test_json_rejects_garbage;
     Alcotest.test_case "span sampling deterministic" `Quick
@@ -1298,6 +1346,8 @@ let suite =
       test_resilience_table_quiet_row;
     Alcotest.test_case "span chrome export flow events" `Quick
       test_span_chrome_export_flow_events;
+    Alcotest.test_case "span marks count calls and policy changes" `Quick
+      test_span_marks;
     Alcotest.test_case "whatif single chain" `Quick test_whatif_single_chain;
     Alcotest.test_case "whatif diamond batch members" `Quick
       test_whatif_diamond_batch_members;
