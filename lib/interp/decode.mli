@@ -1,13 +1,17 @@
-(** The pre-decoded execution engine.
+(** The pre-decoded execution engine, as threaded code.
 
-    [prepare] compiles every function of a module, at load time, into
-    flat arrays of specialized closures: operand float-ness resolved
-    from [reg_tys], cost constants baked in, immediates converted from
+    [prepare] compiles every instruction of a module, at load time,
+    into one specialized closure that does its work and then tail-calls
+    the closure of the next instruction; a terminator tail-calls its
+    target block's entry.  Operand float-ness is resolved from
+    [reg_tys], cost constants are baked in, immediates converted from
     [Int64] once, callees linked to direct decoded-function references
-    with pre-built argument movers, [Runtime.set_site] pre-bound only
-    on runtime-entering opcodes.  Heap accesses go through the
-    runtime's one access path, the one {!Machine}'s reference
-    interpreter takes.
+    with pre-built argument movers, and the access site
+    ({!Cards_runtime.Runtime.site}) written inline only on
+    runtime-entering opcodes.  A call takes its callee's frame from a
+    per-function frame stack held in {!t}, so calls allocate nothing.
+    Heap accesses go through the runtime's one access path, the one
+    {!Machine}'s reference interpreter takes.
 
     Semantics — output, traps, simulated cycles, runtime stats, stall
     attribution — are bit-identical to {!Machine}'s reference
@@ -18,7 +22,9 @@
 
 type t
 (** A decoded module, bound to the {!Sem.state} it was prepared with
-    (globals are resolved against that state's heap). *)
+    (globals are resolved against that state's heap).  It holds each
+    function's frame stack, which keeps as many frames as the
+    function's deepest recursion reached, for as long as [t] lives. *)
 
 val prepare : Sem.state -> Cards_ir.Irmod.t -> t
 (** Decode every function.  Callees resolve across the whole module,

@@ -65,18 +65,22 @@ let rec exec_function st (f : Func.t) (args : argv list) : argv =
        f.params args
    with Invalid_argument _ ->
      trap "arity mismatch calling %s" f.name);
+  let site = Runtime.site st.rt in
   let rec run_block bid =
     let b = f.blocks.(bid) in
     let n = Array.length b.instrs in
     for i = 0 to n - 1 do
-      (* Stamp the access site on instructions that can enter the
+      (* Write the access site on instructions that can enter the
          runtime, so stall cycles attribute to the instruction that
          paid them ([f.name] is one string per function: the ledger's
-         memo compares it physically). *)
+         cache compares it physically, and an unchanged name is not
+         stored again). *)
       (match b.instrs.(i) with
        | Instr.Load _ | Instr.Store _ | Instr.Guard _ | Instr.Malloc _
        | Instr.DsInit _ | Instr.DsAlloc _ | Instr.LoopCheck _ ->
-         Runtime.set_site st.rt ~fn:f.name ~block:bid ~instr:i
+         if site.site_fn != f.name then site.site_fn <- f.name;
+         site.site_block <- bid;
+         site.site_instr <- i
        | _ -> ());
       exec_instr st fr b.instrs.(i)
     done;

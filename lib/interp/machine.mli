@@ -9,10 +9,11 @@
     Two execution engines produce that result:
 
     - {!Decoded} (the default): the pre-decoded engine in {!Decode} —
-      each function is compiled at load time into flat arrays of
-      specialized closures (static decisions taken once: operand
-      float-ness, cost constants, immediate conversion, direct callee
-      references with pre-built argument movers).
+      each instruction is compiled at load time into one specialized
+      closure that tail-calls the next (static decisions taken once:
+      operand float-ness, cost constants, immediate conversion, direct
+      callee references with pre-built argument movers), and call
+      frames are reused from per-function stacks.
     - {!Reference}: the straightforward tree-walking interpreter kept
       as the oracle.
 

@@ -77,6 +77,9 @@ type t = {
   cells : (int * site, cell) Hashtbl.t;
   cache : cell array;   (* [cache_slots] slots, see [slot] *)
   mutable qp_max : int; (* highest QP index ever charged, -1 if none *)
+  mutable sum : int;    (* Σ of every charge: [charge] is the only
+                           writer of cells and of this, so it equals
+                           the fold over cells by construction *)
 }
 
 let make_cell ds site =
@@ -91,7 +94,7 @@ let no_cell =
 
 let create () =
   { cells = Hashtbl.create 64; cache = Array.make cache_slots no_cell;
-    qp_max = -1 }
+    qp_max = -1; sum = 0 }
 
 (* Structure handles, block ids and instruction indices are small dense
    integers; odd multipliers spread them over the slots. *)
@@ -130,6 +133,7 @@ let grow_queue c qp =
 
 let charge t ~ds ~fn ~block ~instr cause cycles =
   if cycles <> 0 then begin
+    t.sum <- t.sum + cycles;
     let c = cell t ~ds ~fn ~block ~instr in
     match cause with
     | Proto -> c.cl_proto <- c.cl_proto + cycles
@@ -151,7 +155,7 @@ let cell_total c =
   c.cl_proto + c.cl_wire + cell_queue_total c + c.cl_pf_wait + c.cl_retry
   + c.cl_guard + c.cl_trap + c.cl_book
 
-let total t = Hashtbl.fold (fun _ c acc -> acc + cell_total c) t.cells 0
+let total t = t.sum
 
 let causes t =
   let qps = t.qp_max + 1 in

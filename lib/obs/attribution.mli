@@ -70,7 +70,8 @@ val charge :
     from its cache slot, probes the table. *)
 
 val total : t -> int
-(** Σ over every key and cause; for a runtime's ledger it equals
+(** Σ over every key and cause, kept as a running sum by {!charge}, so
+    it costs O(1); for a runtime's ledger it equals
     [Runtime.now - Profile.compute]. *)
 
 val causes : t -> cause list

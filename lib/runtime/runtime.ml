@@ -184,6 +184,12 @@ let ring_pop q =
 
 type clock = { mutable cycles : int }
 
+type site = {
+  mutable site_fn : string;
+  mutable site_block : int;
+  mutable site_instr : int;
+}
+
 type t = {
   cfg : config;
   pinned_budget : int;
@@ -223,13 +229,11 @@ type t = {
   sampling : bool;                (* [Sink.sampling obs], fixed at create *)
   prof : Profile.t;
   attr : Attribution.t;
-  (* Current access site (function, block, instruction), stamped by the
-     interpreter before each runtime-entering instruction so stall
+  (* Current access site (function, block, instruction), written by
+     the interpreter before each runtime-entering instruction so stall
      charges land on the instruction that paid them.  Direct API users
      (benches, tests) stay on [Attribution.unknown_site]. *)
-  mutable site_fn : string;
-  mutable site_block : int;
-  mutable site_instr : int;
+  site : site;
   (* Causal span layer.  [spans] is the sink's collector, cached so
      every hook is one [match] on an immutable field — [None] means
      spans are off and the hook is a no-op costing one branch, which
@@ -312,14 +316,16 @@ let create ?(obs = Sink.null) cfg infos =
     sampling = Sink.sampling obs;
     prof = Profile.create ();
     attr = Attribution.create ();
-    site_fn = Attribution.unknown_site.Attribution.s_fn;
-    site_block = Attribution.unknown_site.Attribution.s_block;
-    site_instr = Attribution.unknown_site.Attribution.s_instr;
+    site =
+      { site_fn = Attribution.unknown_site.Attribution.s_fn;
+        site_block = Attribution.unknown_site.Attribution.s_block;
+        site_instr = Attribution.unknown_site.Attribution.s_instr };
     spans = Sink.spans obs;
     cur_span = -1 }
 
 let now t = t.clock.cycles
 let clock t = t.clock
+let site t = t.site
 
 (* [charge] and [stall] are the only writers of the clock.  [charge] is
    the interpreter's entry point and feeds the profile's compute
@@ -338,13 +344,9 @@ let charge t c =
 
 let stall t ~ds cause c =
   t.clock.cycles <- t.clock.cycles + c;
-  Attribution.charge t.attr ~ds ~fn:t.site_fn ~block:t.site_block
-    ~instr:t.site_instr cause c
-
-let set_site t ~fn ~block ~instr =
-  if t.site_fn != fn then t.site_fn <- fn;
-  t.site_block <- block;
-  t.site_instr <- instr
+  let s = t.site in
+  Attribution.charge t.attr ~ds ~fn:s.site_fn ~block:s.site_block
+    ~instr:s.site_instr cause c
 
 (* The structure behind a handle; [None] for handle 0 and handles never
    issued.  It returns the option stored in the table, so it allocates
@@ -372,8 +374,9 @@ let mk_span t ~id ~kind ~parent ?edge ~ds ~obj ~issued ~start ~complete
     ?(queued = 0) ?(proto = 0) ?(wire = 0) ?(retry = 0) ?(pf_wait = 0)
     ?(trap = 0) ?(qp = -1) ~bytes ?fault () =
   { Span.sp_id = id; sp_kind = kind; sp_parent = parent; sp_edge = edge;
-    sp_ds = ds; sp_obj = obj; sp_fn = t.site_fn; sp_block = t.site_block;
-    sp_instr = t.site_instr; sp_issued = issued; sp_start = start;
+    sp_ds = ds; sp_obj = obj; sp_fn = t.site.site_fn;
+    sp_block = t.site.site_block; sp_instr = t.site.site_instr;
+    sp_issued = issued; sp_start = start;
     sp_complete = complete; sp_queued = queued; sp_proto = proto;
     sp_wire = wire; sp_retry = retry; sp_pf_wait = pf_wait; sp_trap = trap;
     sp_qp = qp; sp_bytes = bytes; sp_fault = fault }

@@ -246,12 +246,22 @@ val attribution : t -> Cards_obs.Attribution.t
     structure and access site.  Its total is
     [now t - Cards_obs.Profile.compute (profile t)] by construction. *)
 
-val set_site : t -> fn:string -> block:int -> instr:int -> unit
-(** Stamp the current access site (function, basic block, instruction
-    index) so subsequent stall charges attribute to it.  The
-    interpreter calls this before each runtime-entering instruction;
-    direct API users may ignore it and charge to
-    [Attribution.unknown_site]. *)
+type site = {
+  mutable site_fn : string;
+  mutable site_block : int;
+  mutable site_instr : int;
+}
+(** The current access site: function, basic block, instruction index.
+    Every stall charge and every span is keyed by it. *)
+
+val site : t -> site
+(** The runtime's access-site record, exposed by type, as {!clock} is,
+    so both interpreters write its three fields inline before each
+    instruction that enters the runtime instead of calling into this
+    module.  A writer stores [site_fn] only when the name changes
+    physically (the interpreter passes one string per function), so the
+    string store rarely pays the write barrier.  Direct API users may
+    leave it alone and charge to [Attribution.unknown_site]. *)
 
 val ds_name : t -> int -> string
 (** Static name for a handle (["(unmanaged)"] for handle 0 or unknown)

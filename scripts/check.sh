@@ -176,13 +176,14 @@ for args in "run examples/minic/listing1.mc --qp 0" "serve --quantum 0" \
 done
 
 echo "== allocation ceiling: minor words per interpreted instruction"
-# The decoded engine's per-instruction charge, guard hits, heap
+# The decoded engine's per-instruction charge, calls, guard hits, heap
 # accesses and prefetch issue allocate nothing and a demand miss a
-# bounded few words, so a whole run allocates about one minor word per
-# instruction (call frames, demand misses, setup).  Fail above 1.5
-# words per instruction.  With --prefetch none every remote fault is a
-# demand miss.  The built binary runs directly: dune exec is an OCaml
-# program itself, and its own allocation would count.
+# bounded few words, so a whole run allocates well under half a minor
+# word per instruction (demand misses, prefetch batches, setup): 0.19,
+# 0.40 and 0.05 on the three runs below.  Fail above 0.5 words per
+# instruction.  With --prefetch none every remote fault is a demand
+# miss.  The built binary runs directly: dune exec is an OCaml program
+# itself, and its own allocation would count.
 for pol in "--policy all-remotable --local 1M --remotable 768K" \
     "--policy all-remotable --local 1M --remotable 768K --prefetch none" \
     "--policy all-local"; do
@@ -193,9 +194,9 @@ for pol in "--policy all-remotable --local 1M --remotable 768K" \
   instrs=$(sed -n 's/.* \([0-9][0-9]*\) instructions.*/\1/p' "$tmpdir/alloc.err")
   words=$(sed -n 's/^minor_words: *\([0-9][0-9]*\).*/\1/p' "$tmpdir/alloc.err")
   if [ -z "$instrs" ] || [ -z "$words" ] \
-      || [ $((2 * words)) -gt $((3 * instrs)) ]; then
+      || [ $((2 * words)) -gt "$instrs" ]; then
     echo "check.sh: fig9_list.mc $pol: ${words:-?} minor words for" \
-      "${instrs:-?} instructions (ceiling 1.5 per instruction)" >&2
+      "${instrs:-?} instructions (ceiling 0.5 per instruction)" >&2
     exit 1
   fi
   echo "  $pol: $words minor words, $instrs instructions"

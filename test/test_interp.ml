@@ -248,6 +248,105 @@ let test_dead_bad_code_is_inert () =
       check Alcotest.(list string) ename [ "7" ] res.output)
     engines
 
+(* ---------- call frames ----------
+
+   The decoded engine takes each callee's frame from a per-function
+   stack that lives as long as the session and reuses it.  Every test
+   here runs both engines: the reference builds a fresh frame per
+   call, so it is the oracle. *)
+
+(* Every activation keeps its own registers: [n] and [d] are live
+   across the recursive call. *)
+let test_deep_recursion () =
+  let m =
+    I.Minic.compile
+      {|int sum(int n) {
+          if (n == 0) { return 0; }
+          int r = sum(n - 1);
+          return r + n;
+        }
+        double halves(int n) {
+          if (n == 0) { return 0.0; }
+          double d = 0.5;
+          return halves(n - 1) + d;
+        }
+        int main() {
+          print_float(halves(10000));
+          return sum(10000);
+        }|}
+  in
+  let want = M.run ~engine:M.Reference m (permissive_rt ()) in
+  check Alcotest.int "reference sum" 50005000 want.ret;
+  check Alcotest.(list string) "reference halves" [ "5000" ] want.output;
+  let got = M.run ~engine:M.Decoded m (permissive_rt ()) in
+  check Alcotest.int "decoded sum" want.ret got.ret;
+  check Alcotest.(list string) "decoded halves" want.output got.output
+
+(* A trap three frames deep leaves nothing behind in the session. *)
+let test_trap_then_call_in_session () =
+  let m =
+    I.Minic.compile
+      {|int leaf(int x) { if (x < 0) { abort(); } return x * 2; }
+        int mid(int x) { int y = leaf(x); return y + 1; }
+        int top(int x) { int z = mid(x); return z + 3; }
+        void main() { }|}
+  in
+  List.iter
+    (fun (ename, engine) ->
+      let fresh = M.call (M.session ~engine m (permissive_rt ())) "top" [ 5 ] in
+      let s = M.session ~engine m (permissive_rt ()) in
+      (match M.call s "top" [ -1 ] with
+       | _ -> Alcotest.fail (ename ^ ": expected a trap")
+       | exception M.Trap msg ->
+         check Alcotest.string (ename ^ ": trap") "abort() called" msg);
+      let after = M.call s "top" [ 5 ] in
+      check Alcotest.int (ename ^ ": ret") 14 fresh.ret;
+      check Alcotest.int (ename ^ ": same ret") fresh.ret after.ret;
+      check Alcotest.int (ename ^ ": same cycles") fresh.cycles after.cycles;
+      check Alcotest.int (ename ^ ": same instructions") fresh.instructions
+        after.instructions)
+    engines
+
+(* A register read before any write reads zero, in a reused frame too.
+   [probe c] writes int register 1 and float register 2 only when [c]
+   is non-zero, prints the int and returns the float. *)
+let test_reused_frame_is_zeroed () =
+  let open I.Instr in
+  let i64 = I.Types.I64 and f64 = I.Types.F64 in
+  let probe =
+    func ~name:"probe" ~params:[ (0, i64) ] ~ret:f64
+      ~reg_tys:[| i64; i64; f64 |]
+      [ block 0 [] (Cbr (Reg 0, 1, 2));
+        block 1 [ Mov (1, Imm 7L); Mov (2, Fimm 2.5) ] (Br 2);
+        block 2 [ Call (None, "print_int", [ Reg 1 ]) ] (Ret (Some (Reg 2))) ]
+  in
+  let main =
+    func ~name:"main" ~params:[] ~ret:i64 ~reg_tys:[| f64; f64 |]
+      [ block 0
+          [ Call (Some 0, "probe", [ Imm 1L ]);
+            Call (Some 1, "probe", [ Imm 0L ]);
+            Call (None, "print_float", [ Reg 0 ]);
+            Call (None, "print_float", [ Reg 1 ]) ]
+          (Ret (Some (Imm 0L))) ]
+  in
+  let m = mod_of [ probe; main ] in
+  List.iter
+    (fun (ename, engine) ->
+      let res = M.run ~engine m (permissive_rt ()) in
+      check Alcotest.(list string) (ename ^ ": nested calls")
+        [ "7"; "0"; "2.5"; "0" ] res.output;
+      (* top-level calls of one session reuse the entry frame *)
+      let s = M.session ~engine m (permissive_rt ()) in
+      let took = M.call s "probe" [ 1 ] in
+      let skipped = M.call s "probe" [ 0 ] in
+      check Alcotest.(list string) (ename ^ ": took the branch") [ "7" ]
+        took.output;
+      check Alcotest.int (ename ^ ": float returned") 2 took.ret;
+      check Alcotest.(list string) (ename ^ ": skipped it") [ "0" ]
+        skipped.output;
+      check Alcotest.int (ename ^ ": zero returned") 0 skipped.ret)
+    engines
+
 (* ---------- engine identity on plain semantics ---------- *)
 
 let test_engines_identical_on_workload () =
@@ -289,5 +388,8 @@ let suite =
     ("arity mismatch traps", `Quick, test_arity_mismatch_traps);
     ("unreachable traps", `Quick, test_unreachable_traps);
     ("dead bad code inert", `Quick, test_dead_bad_code_is_inert);
+    ("deep recursion", `Quick, test_deep_recursion);
+    ("trap then call in a session", `Quick, test_trap_then_call_in_session);
+    ("reused frame is zeroed", `Quick, test_reused_frame_is_zeroed);
     ("engines identical on workload", `Quick, test_engines_identical_on_workload);
     ("output order", `Quick, test_output_order) ]

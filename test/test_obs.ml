@@ -1144,11 +1144,14 @@ let test_spans_off_allocation_free () =
   (* Guard hits alternating between two access sites: each charge
      lands in another ledger cell. *)
   let lrt, la = mk_rt None in
+  let site = R.Runtime.site lrt in
   let fn = "loop" in
   let flip = ref false in
   let two_sites () =
     flip := not !flip;
-    R.Runtime.set_site lrt ~fn ~block:1 ~instr:(if !flip then 2 else 5);
+    if site.site_fn != fn then site.site_fn <- fn;
+    site.site_block <- 1;
+    site.site_instr <- (if !flip then 2 else 5);
     R.Runtime.guard lrt ~write:false la
   in
   zero "guard hits alternating between two sites"
@@ -1186,11 +1189,12 @@ let test_demand_miss_allocation () =
     (Printf.sprintf "a demand miss allocates at most 24 words (%.1f)" words)
     true (words <= 24.0)
 
-(* The decoded engine end to end: a call-free MiniC loop of guarded
-   i64 and f64 loads and stores and float-register arithmetic.  Its
-   setup allocates the same at any trip count, so a run allocates the
-   same number of minor words at 2 000 and at 4 000 trips exactly when
-   an iteration allocates nothing. *)
+(* The decoded engine end to end: a MiniC loop of guarded i64 and f64
+   loads and stores and float-register arithmetic, and a loop making
+   two calls per iteration, one returning an int and one a float.  A
+   program's setup allocates the same at any trip count, so a run
+   allocates the same number of minor words at 2 000 and at 4 000
+   trips exactly when an iteration allocates nothing. *)
 let test_decoded_loop_allocation_free () =
   let src trips =
     Printf.sprintf
@@ -1217,28 +1221,54 @@ let test_decoded_loop_allocation_free () =
       policy = R.Policy.All_remotable; k = 0.0;
       local_bytes = 1024 * 1024; remotable_bytes = 512 * 1024 }
   in
-  let words trips =
+  let calls trips =
+    Printf.sprintf
+      {|int addi(int a, int b) { return a + b; }
+double scale(double x, double k) { return x * k + 1.0; }
+int main() {
+  int s = 0;
+  double d = 0.0;
+  int i = 0;
+  while (i < %d) {
+    s = addi(s, i);
+    d = scale(d, 0.5);
+    i = i + 1;
+  }
+  print_float(d);
+  return s %% 1000;
+}|}
+      trips
+  in
+  let words src trips =
     let compiled = P.compile_source (src trips) in
     let w0 = Gc.minor_words () in
-    let _, rt = P.run compiled cfg in
+    let res, rt = P.run compiled cfg in
     let w = Gc.minor_words () -. w0 in
-    (w, R.Runtime.stats rt)
+    (w, res, R.Runtime.stats rt)
   in
-  ignore (words 2_000);
-  let w1, st1 = words 2_000 in
-  let w2, _ = words 4_000 in
+  ignore (words src 2_000);
+  let w1, _, st1 = words src 2_000 in
+  let w2, _, _ = words src 4_000 in
   let guards =
     (R.Rt_stats.total st1).R.Rt_stats.guards
   in
   check Alcotest.bool "the loop runs guarded accesses" true (guards >= 2_000);
   check (Alcotest.float 0.0)
-    "same minor words at 2 000 and 4 000 trips" w1 w2
+    "same minor words at 2 000 and 4 000 trips" w1 w2;
+  ignore (words calls 2_000);
+  let c1, r1, _ = words calls 2_000 in
+  let c2, r2, _ = words calls 4_000 in
+  check Alcotest.(list string) "the call loop ran" [ "2" ] r1.Cards_interp.Machine.output;
+  check Alcotest.int "the call loop returned" 0 r2.Cards_interp.Machine.ret;
+  check (Alcotest.float 0.0)
+    "two calls per iteration: same minor words at 2 000 and 4 000 trips"
+    c1 c2
 (* The ledger's cell cache is invisible: a random interleaving of
    charges over more (ds, site) keys than the cache has slots — so
    keys keep evicting each other — with one function name spelled by
    two physically distinct strings, folds to the same per-cause,
    per-structure and per-site totals as a plain table of the same
-   charges. *)
+   charges, and its running [total] equals those folds. *)
 let prop_ledger_cache_exact =
   let names = [| "main"; "walk"; "build"; String.concat "" [ "ma"; "in" ] |] in
   let causes =
@@ -1289,6 +1319,8 @@ let prop_ledger_cache_exact =
       in
       O.Attribution.cause_totals led = want_totals
       && O.Attribution.total led = fold (fun _ -> true)
+      && O.Attribution.total led
+         = List.fold_left (fun acc (_, v) -> acc + v) 0 site_totals
       && List.sort compare site_totals
          = List.sort compare
              (Hashtbl.fold (fun k v acc -> (k, v) :: acc) per_site [])
