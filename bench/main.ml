@@ -151,7 +151,7 @@ let table1 () =
   let median_of f =
     let s = Cards_util.Stats.create () in
     for _ = 1 to 100 do
-      Cards_util.Stats.add s (float_of_int (f ()))
+      Cards_util.Stats.add_int s (f ())
     done;
     Cards_util.Stats.median s
   in
@@ -919,6 +919,20 @@ void main() {
 (* Bechamel: wall-clock microbenchmarks of the runtime primitives.  *)
 (* ---------------------------------------------------------------- *)
 
+(* A runtime over one default-size structure of [objects] objects
+   behind a remotable cache of [cache] objects, fault-free. *)
+let remote_rig ~prefetch_mode ?(depth = 4) ~objects ~cache () =
+  let rt =
+    R.Runtime.create
+      { R.Runtime.default_config with
+        policy = R.Policy.All_remotable; k = 0.0;
+        local_bytes = kb 2048; remotable_bytes = cache * 4096;
+        prefetch_mode; prefetch_depth = depth }
+      [| R.Static_info.default ~sid:0 |]
+  in
+  let h = R.Runtime.ds_init rt ~sid:0 in
+  (rt, R.Runtime.ds_alloc rt ~handle:h ~size:(objects * 4096))
+
 let bechamel () =
   header "Bechamel: wall-clock cost of runtime primitives (host CPU)";
   let open Bechamel in
@@ -935,6 +949,36 @@ let bechamel () =
   let h = R.Runtime.ds_init rt ~sid:0 in
   let a = R.Runtime.ds_alloc rt ~handle:h ~size:4096 in
   R.Runtime.guard rt ~write:false a;
+  (* The remote path, one row per operation.  Inputs come from a fixed
+     seed, so every run measures the same work. *)
+  let rng = Cards_util.Rng.create 17 in
+  let pairs = Array.init 32 (fun i ->
+      if i land 1 = 0 then Cards_util.Rng.int rng 3 else Cards_util.Rng.int rng 1000)
+  in
+  let buf = R.Prefetcher.targets () in
+  let stream = Array.init 4096 (fun _ -> Cards_util.Rng.int rng 1_000_000) in
+  let stride = R.Prefetcher.stride ~depth:4 in
+  let next = ref 0 in
+  let no_scan _ _ = () in
+  let fabric = Cards_net.Fabric.create Cards_net.Fabric.default_config in
+  let sizes = Array.make 12 4096 in
+  (* A unit-stride walk at depth 11 tops its window up with one
+     12-object batch every 12 guards; the 256-object pool laps a
+     32-object cache, so every batch goes on the wire. *)
+  let walk_rt, walk_a =
+    remote_rig ~prefetch_mode:R.Runtime.Pf_stride_only ~depth:11 ~objects:256
+      ~cache:32 ()
+  in
+  let walk_i = ref 0 in
+  (* Every guard misses: 64 objects cycle through a 2-object cache. *)
+  let miss_rt, miss_a =
+    remote_rig ~prefetch_mode:R.Runtime.Pf_none ~objects:64 ~cache:2 ()
+  in
+  let miss_i = ref 0 in
+  let miss ~write () =
+    R.Runtime.guard miss_rt ~write (miss_a + ((!miss_i land 63) * 4096));
+    incr miss_i
+  in
   let tests =
     [ Test.make ~name:"addr_encode_decode" (Staged.stage (fun () ->
           let x = R.Addr.encode ~ds:3 ~offset:512 in
@@ -944,7 +988,32 @@ let bechamel () =
       Test.make ~name:"heap_read_i64" (Staged.stage (fun () ->
           ignore (R.Runtime.read_i64 rt a)));
       Test.make ~name:"custody_check_unmanaged" (Staged.stage (fun () ->
-          R.Runtime.guard rt ~write:false 64)) ]
+          R.Runtime.guard rt ~write:false 64));
+      Test.make ~name:"target_sort_16_pairs" (Staged.stage (fun () ->
+          buf.R.Prefetcher.n <- 0;
+          for i = 0 to 15 do
+            R.Prefetcher.push buf pairs.(2 * i) pairs.((2 * i) + 1)
+          done;
+          R.Prefetcher.sort_uniq buf));
+      Test.make ~name:"stride_vote_random_deltas" (Staged.stage (fun () ->
+          buf.R.Prefetcher.n <- 0;
+          R.Prefetcher.on_access stride buf ~obj:stream.(!next land 4095)
+            ~missed:false ~scan:no_scan;
+          incr next));
+      Test.make ~name:"fabric_batch_12_objects" (Staged.stage (fun () ->
+          ignore
+            (Cards_net.Fabric.fetch_many_attempt fabric
+               ~scale:Cards_net.Fabric.unit_scale ~now:0 ~sizes ~count:12)));
+      Test.make ~name:"12_guards_one_12_object_batch" (Staged.stage (fun () ->
+          for _ = 1 to 12 do
+            R.Runtime.guard walk_rt ~write:false
+              (walk_a + ((!walk_i land 255) * 4096));
+            incr walk_i
+          done));
+      Test.make ~name:"demand_miss_clean_eviction"
+        (Staged.stage (miss ~write:false));
+      Test.make ~name:"demand_miss_dirty_eviction_writeback"
+        (Staged.stage (miss ~write:true)) ]
   in
   let t =
     T.create ~title:"OLS time per call (nanoseconds, host wall clock)"

@@ -73,26 +73,33 @@ let unit_scale = { s_proto = 1.0; s_wire = 1.0 }
 (* Factor 1.0 short-circuits to the untouched integer: a unit-scaled
    call must be bit-identical to an unscaled one (the whatif identity
    scenario re-executes the baseline through this path and asserts
-   equality to the cycle). *)
-let scale_cycles f c =
+   equality to the cycle).  Inlined, so the factor read out of a
+   [scale] stays unboxed: a call would box it, on every request and
+   for every object of a batch. *)
+let[@inline] scale_cycles f c =
   if f = 1.0 || c = 0 then c
   else max 0 (int_of_float ((float_of_int c *. f) +. 0.5))
 
+(* A request's outcome is written into records the fabric owns and
+   reuses, so a request allocates nothing; the interface makes them
+   private, so only the fabric writes them. *)
 type transfer = {
-  t_start : int;
-  t_queued : int;
-  t_complete : int;
-  t_qp : int;
-  t_proto : int;
-  t_ser : int;
-  t_fault : fault_kind option;
+  mutable t_start : int;
+  mutable t_queued : int;
+  mutable t_complete : int;
+  mutable t_qp : int;
+  mutable t_proto : int;
+  mutable t_ser : int;
+  mutable t_fault : fault_kind option;
 }
 
 type failure = {
-  f_start : int;
-  f_fail : int;
-  f_qp : int;
+  mutable f_start : int;
+  mutable f_fail : int;
+  mutable f_qp : int;
 }
+
+let copy_transfer tr = { tr with t_start = tr.t_start }
 
 (* One record per wire-level request, emitted to the (optional) port
    observer with the FINAL times — a Late or Duplicate fault extends
@@ -123,8 +130,15 @@ type t = {
   mutable last_out_now : int;
   mutable port : (port_event -> unit) option;
   s : stats;
-  one_size : int array;           (* one-slot scratch, so a single fetch *)
-  one_done : int array;           (* runs through the batch core *)
+  tr : transfer;                  (* the last request that landed *)
+  fl : failure;                   (* the last request NACKed *)
+  ok : (transfer, failure) result;   (* [Ok tr], built once *)
+  error : (transfer, failure) result; (* [Error fl], built once *)
+  one_size : int array;           (* one-slot scratch, so a single fetch
+                                     runs through the batch core *)
+  mutable completions : int array; (* per-object completion times of
+                                      the last request that landed;
+                                      doubled to fit a larger batch *)
 }
 
 let create cfg =
@@ -132,6 +146,10 @@ let create cfg =
     invalid_arg "Fabric.create: qp_count must be at least 1";
   if cfg.faults.fault_rate < 0.0 || cfg.faults.fault_rate > 1.0 then
     invalid_arg "Fabric.create: fault_rate must be within [0, 1]";
+  let tr =
+    { t_start = 0; t_queued = 0; t_complete = 0; t_qp = 0; t_proto = 0;
+      t_ser = 0; t_fault = None }
+  and fl = { f_start = 0; f_fail = 0; f_qp = 0 } in
   { cfg;
     rng = Rng.create cfg.faults.fault_seed;
     fault_rate = cfg.faults.fault_rate;
@@ -145,7 +163,8 @@ let create cfg =
           qp_queue_cycles = Array.make cfg.qp_count 0;
           faults_transient = 0; faults_late = 0; faults_dup = 0;
           failed_fetches = 0; reliable_fetches = 0; wb_faults = 0 };
-    one_size = [| 0 |]; one_done = [| 0 |] }
+    tr; fl; ok = Ok tr; error = Error fl;
+    one_size = [| 0 |]; completions = Array.make 16 0 }
 
 let set_port t p = t.port <- p
 
@@ -227,20 +246,28 @@ let reserve t ~now =
 (* A transient failure crosses the wire and comes back as a NACK: the
    queue pair is held for the protocol turnaround, nothing lands, and
    the caller decides whether to retry. *)
-let nack t ~now ~qp ~proto ~sizes =
+let nack t ~now ~qp ~proto ~sizes ~count =
   let s = t.s in
   let start = max now t.in_busy_until.(qp) in
   let fail = start + proto in
   t.in_busy_until.(qp) <- fail;
   s.faults_transient <- s.faults_transient + 1;
   s.failed_fetches <- s.failed_fetches + 1;
-  emit t `In ~now ~start ~complete:fail ~qp ~count:(Array.length sizes)
-    ~bytes:(Array.fold_left ( + ) 0 sizes) ~ok:false;
-  { f_start = start; f_fail = fail; f_qp = qp }
+  let bytes = ref 0 in
+  for i = 0 to count - 1 do
+    bytes := !bytes + sizes.(i)
+  done;
+  emit t `In ~now ~start ~complete:fail ~qp ~count ~bytes:!bytes ~ok:false;
+  let fl = t.fl in
+  fl.f_start <- start;
+  fl.f_fail <- fail;
+  fl.f_qp <- qp;
+  t.error
 
 (* The transfer core every inbound request that lands runs through.
-   One request/response pair carries [sizes]: the protocol cost is
-   paid once, and object [i] lands ([completions.(i)]) as soon as its
+   One request/response pair carries [sizes.(0 .. count-1)]: the
+   protocol cost is paid once, and object [i] lands
+   ([t.completions.(i)]) as soon as its
    bytes have streamed off the wire behind its predecessors.  The
    protocol cost is per-request work (doorbells, completion polling,
    bookkeeping) that occupies the queue pair, not just latency:
@@ -255,9 +282,11 @@ let nack t ~now ~qp ~proto ~sizes =
      occupies the QP for another protocol turn — timing only: the
      caller deduplicates by construction (the object is marked resident
      exactly once). *)
-let deliver t ~scale ~now ~qp ~proto ~sizes ~completions fault =
+let deliver t ~scale ~now ~qp ~proto ~sizes ~count:n fault =
   let s = t.s in
-  let n = Array.length sizes in
+  if n > Array.length t.completions then
+    t.completions <- Array.make (max n (2 * Array.length t.completions)) 0;
+  let completions = t.completions in
   let start = max now t.in_busy_until.(qp) in
   let late =
     match fault with
@@ -280,33 +309,44 @@ let deliver t ~scale ~now ~qp ~proto ~sizes ~completions fault =
   s.fetches <- s.fetches + n;
   s.fetched_bytes <- s.fetched_bytes + !bytes;
   emit t `In ~now ~start ~complete ~qp ~count:n ~bytes:!bytes ~ok:true;
-  { t_start = start; t_queued = start - now; t_complete = complete; t_qp = qp;
-    t_proto = proto; t_ser = late + !ser; t_fault = fault }
+  let tr = t.tr in
+  tr.t_start <- start;
+  tr.t_queued <- start - now;
+  tr.t_complete <- complete;
+  tr.t_qp <- qp;
+  tr.t_proto <- proto;
+  tr.t_ser <- late + !ser;
+  tr.t_fault <- fault;
+  tr
 
 (* The request path of both fault-injected entry points: one fault
    decision, then the reservation, then a NACK or the transfer core. *)
-let attempt t ~scale ~now ~sizes ~completions =
+let attempt t ~scale ~now ~sizes ~count =
   let fault = draw_fault t in
   let qp = reserve t ~now in
   let proto = scale_cycles scale.s_proto t.cfg.proto_cycles in
   match fault with
-  | Some Transient -> Error (nack t ~now ~qp ~proto ~sizes)
-  | fault -> Ok (deliver t ~scale ~now ~qp ~proto ~sizes ~completions fault)
+  | Some Transient -> nack t ~now ~qp ~proto ~sizes ~count
+  | fault ->
+    ignore (deliver t ~scale ~now ~qp ~proto ~sizes ~count fault);
+    t.ok
 
 let fetch_attempt t ~scale ~now ~bytes =
   t.one_size.(0) <- bytes;
-  attempt t ~scale ~now ~sizes:t.one_size ~completions:t.one_done
+  attempt t ~scale ~now ~sizes:t.one_size ~count:1
 
-let fetch_many_attempt t ~scale ~now ~sizes =
-  let n = Array.length sizes in
-  if n = 0 then invalid_arg "Fabric.fetch_many_attempt: empty batch";
-  let completions = Array.make n 0 in
-  match attempt t ~scale ~now ~sizes ~completions with
-  | Error f -> Error f
-  | Ok tr ->
-    t.s.batches <- t.s.batches + 1;
-    t.s.batched_objects <- t.s.batched_objects + n;
-    Ok (tr, completions)
+let fetch_many_attempt t ~scale ~now ~sizes ~count =
+  if count < 1 || count > Array.length sizes then
+    invalid_arg "Fabric.fetch_many_attempt: empty batch or count past sizes";
+  let r = attempt t ~scale ~now ~sizes ~count in
+  (match r with
+   | Ok _ ->
+     t.s.batches <- t.s.batches + 1;
+     t.s.batched_objects <- t.s.batched_objects + count
+   | Error _ -> ());
+  r
+
+let completions t = t.completions
 
 (* Escalation path after retries are exhausted: a heavyweight reliable
    channel (think RC send with end-to-end acknowledgement instead of
@@ -318,7 +358,7 @@ let fetch_reliable t ~scale ~now ~bytes =
   t.s.reliable_fetches <- t.s.reliable_fetches + 1;
   deliver t ~scale ~now ~qp
     ~proto:(2 * scale_cycles scale.s_proto t.cfg.proto_cycles)
-    ~sizes:t.one_size ~completions:t.one_done None
+    ~sizes:t.one_size ~count:1 None
 
 (* Writeback faults never reach the caller: posted writes are
    asynchronous, so the fabric absorbs the fault by re-posting (or

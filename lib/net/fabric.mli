@@ -105,25 +105,39 @@ val set_fault_rate : t -> float -> unit
 val faults_configured : t -> bool
 (** True when the fabric was created with a non-zero fault rate. *)
 
-type transfer = {
-  t_start : int;     (** when a queue pair picked the transfer up *)
-  t_queued : int;    (** [t_start - now]: cycles spent waiting in line *)
-  t_complete : int;  (** completion time (of the last object for batches) *)
-  t_qp : int;        (** the queue pair that carried it *)
-  t_proto : int;     (** per-request protocol cycles this transfer paid *)
-  t_ser : int;       (** serialization cycles (summed over a batch; a
-                         late fault's congestion delay rides here so the
-                         queued/proto/ser split still covers the stall) *)
-  t_fault : fault_kind option;
+type transfer = private {
+  mutable t_start : int;     (** when a queue pair picked the transfer up *)
+  mutable t_queued : int;    (** [t_start - now]: cycles spent waiting in line *)
+  mutable t_complete : int;  (** completion time (of the last object for batches) *)
+  mutable t_qp : int;        (** the queue pair that carried it *)
+  mutable t_proto : int;     (** per-request protocol cycles this transfer paid *)
+  mutable t_ser : int;       (** serialization cycles (summed over a batch; a
+                                 late fault's congestion delay rides here so the
+                                 queued/proto/ser split still covers the stall) *)
+  mutable t_fault : fault_kind option;
       (** the fault injected into this (completed) transfer, if any *)
 }
+(** A request that landed.  {b Owned by the fabric}: every fetch
+    returns the same record (and the same [Ok] around it), rewritten
+    in place, so a fetch allocates nothing.  It holds a request's
+    outcome until the next inbound request — {!fetch_attempt},
+    {!fetch_many_attempt} or {!fetch_reliable} — on the same fabric;
+    writebacks leave it alone.  A caller that keeps a transfer across
+    a later fetch takes a {!copy_transfer}.  Private: only the fabric
+    writes it. *)
 
-type failure = {
-  f_start : int;  (** when the queue pair picked the doomed attempt up *)
-  f_fail : int;   (** when the NACK came back ([f_start + proto]); the
-                      QP is occupied until then *)
-  f_qp : int;     (** the queue pair it burned *)
+type failure = private {
+  mutable f_start : int;  (** when the queue pair picked the doomed attempt up *)
+  mutable f_fail : int;   (** when the NACK came back ([f_start + proto]); the
+                              QP is occupied until then *)
+  mutable f_qp : int;     (** the queue pair it burned *)
 }
+(** A NACKed request.  Owned by the fabric and valid until the next
+    inbound request, as {!transfer}. *)
+
+val copy_transfer : transfer -> transfer
+(** A fresh record with the same fields, which later requests do not
+    rewrite. *)
 
 type port_event = {
   pe_dir : [ `In | `Out ];  (** fetch side or (posted) writeback side *)
@@ -163,25 +177,40 @@ val fetch_attempt :
     and wire terms for this call; {!unit_scale} leaves them untouched.
     It is a required argument so that no call allocates an option.
 
+    The result and the record inside it belong to the fabric and are
+    rewritten by the next inbound request (see {!transfer}): the call
+    allocates nothing.
+
     Retried attempts MUST re-enter at a non-decreasing [now]: the
     fabric raises [Invalid_argument] when the inbound clock moves
     backwards rather than corrupting queue state. *)
 
 val fetch_many_attempt :
-  t -> scale:scale -> now:int -> sizes:int array ->
-  (transfer * int array, failure) result
-(** Coalesce a batch of objects into one request on the least-loaded
-    queue pair, through the fault injector.  The protocol cost is paid
-    once; object [i] completes at
-    [start + proto + Σ serialization sizes.(0..i)] (returned in the
-    array, index-aligned with [sizes]), and the QP stays busy for one
-    protocol cost plus the summed serialization.  One fault decision
+  t -> scale:scale -> now:int -> sizes:int array -> count:int ->
+  (transfer, failure) result
+(** Coalesce a batch of objects, sized [sizes.(0 .. count-1)], into
+    one request on the least-loaded queue pair, through the fault
+    injector.  [sizes] may be longer than [count]: the caller keeps
+    one array for every batch.  The protocol cost is paid once; object
+    [i] completes at [start + proto + Σ serialization sizes.(0..i)],
+    which {!completions} holds at index [i], and the QP stays busy for
+    one protocol cost plus the summed serialization.  One fault decision
     covers the whole request (it is one request on the wire): a
     transient fault NACKs the entire batch, a late fault delays every
     completion in it by the same congestion term.  A completed request
     counts one batch and [n] fetches in {!stats}; a NACKed one counts
-    neither.  [scale] as in {!fetch_attempt}.
-    @raise Invalid_argument on an empty batch or a backwards [now]. *)
+    neither.  [scale] and the fabric-owned result as in
+    {!fetch_attempt}: the call allocates nothing.
+    @raise Invalid_argument when [count < 1], [count] exceeds
+    [Array.length sizes] or [now] moved backwards. *)
+
+val completions : t -> int array
+(** Per-object completion times of the last inbound request that
+    landed: entry [i] for its object [i], valid for as many entries as
+    it carried objects (the array may be longer).  The array belongs to
+    the fabric: read it, do not write it, and read it before the next
+    inbound request, which rewrites it (or replaces it with a longer
+    one). *)
 
 val fetch_reliable : t -> scale:scale -> now:int -> bytes:int -> transfer
 (** The escalation path for a fetch whose retries are exhausted: a
@@ -189,7 +218,7 @@ val fetch_reliable : t -> scale:scale -> now:int -> bytes:int -> transfer
     rather than a one-sided read) paying [2 * proto_cycles] plus
     serialization.  Never faulted — guarantees forward progress at any
     fault rate.  Counted in {!stats} [reliable_fetches].  [scale] as in
-    {!fetch_attempt}.
+    {!fetch_attempt}; the record is the fabric's, as there.
     @raise Invalid_argument on a backwards [now]. *)
 
 val nominal_fetch_cycles : t -> bytes:int -> int

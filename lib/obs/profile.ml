@@ -30,7 +30,7 @@ let hidden t h =
 let handles t =
   List.sort compare (Hashtbl.fold (fun h _ acc -> h :: acc) t.per [])
 
-let record_latency b c = Stats.add b.lat (float_of_int c)
+let record_latency b c = Stats.add_int b.lat c
 
 let latency b = b.lat
 

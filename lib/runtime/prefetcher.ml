@@ -3,6 +3,10 @@ type targets = {
   mutable n : int;
 }
 
+(* Every [max] here compares object indices; the polymorphic
+   [Stdlib.max] would call into the runtime. *)
+let max (a : int) b = if a >= b then a else b
+
 let targets () = { buf = Array.make 128 0; n = 0 }
 
 let push b h o =
@@ -17,12 +21,14 @@ let push b h o =
   b.n <- b.n + 1
 
 (* Pair order on handle, then object: the lexicographic order
-   [compare] gives the tuples. *)
-let less a i j =
+   [compare] gives the tuples.  The buffer is typed [int array] here and
+   below, so every comparison is an integer compare and every store a
+   plain write: on an ['a array] each would call into the runtime. *)
+let less (a : int array) i j =
   let hi = a.(2 * i) and hj = a.(2 * j) in
   hi < hj || (hi = hj && a.((2 * i) + 1) < a.((2 * j) + 1))
 
-let swap a i j =
+let swap (a : int array) i j =
   let h = a.(2 * i) and o = a.((2 * i) + 1) in
   a.(2 * i) <- a.(2 * j);
   a.((2 * i) + 1) <- a.((2 * j) + 1);
@@ -39,17 +45,45 @@ let rec sift a i n =
     end
   end
 
-(* Heapsort, then one pass dropping repeats: in place, and
-   O(n log n) in whatever order the prefetchers emitted. *)
-let sort_uniq b =
-  let a = b.buf and n = b.n in
+let heapsort a n =
   for i = (n / 2) - 1 downto 0 do
     sift a i n
   done;
   for last = n - 1 downto 1 do
     swap a 0 last;
     sift a 0 last
-  done;
+  done
+
+(* Insertion sort: the pairs above each pair shift one slot up and it
+   drops into the hole [j] they leave. *)
+let insertion_sort (a : int array) n =
+  for i = 1 to n - 1 do
+    let h = a.(2 * i) and o = a.((2 * i) + 1) in
+    let j = ref i in
+    while
+      !j > 0
+      && (let hp = a.((2 * !j) - 2) in
+          h < hp || (h = hp && o < a.((2 * !j) - 1)))
+    do
+      a.(2 * !j) <- a.((2 * !j) - 2);
+      a.((2 * !j) + 1) <- a.((2 * !j) - 1);
+      decr j
+    done;
+    a.(2 * !j) <- h;
+    a.((2 * !j) + 1) <- o
+  done
+
+(* A prefetch window is a dozen pairs or so, where insertion sort beats
+   heapsort's sifting; a byte-budget stride window can reach 128 pairs
+   (depth 64), and greedy fan-out is unbounded, so longer buffers take
+   the O(n log n) path. *)
+let insertion_cutoff = 32
+
+(* Sort, then one pass dropping repeats: in place, whatever order the
+   prefetchers emitted. *)
+let sort_uniq b =
+  let a = b.buf and n = b.n in
+  if n <= insertion_cutoff then insertion_sort a n else heapsort a n;
   if n > 1 then begin
     let w = ref 1 in
     for r = 1 to n - 1 do
@@ -68,9 +102,11 @@ type stride_state = {
   s_depth : int;
   mutable last : int;
   mutable have_last : bool;
-  deltas : int array;          (* ring of recent deltas *)
+  deltas : int array;          (* ring of recent non-zero deltas *)
   mutable n_deltas : int;
   mutable next_slot : int;
+  mutable majority : int;      (* the window's strict majority, 0 if
+                                  none; kept from the first delta on *)
   mutable locked : int;        (* 0 = unlocked *)
   mutable frontier : int;      (* first object not yet covered by an
                                   emitted window (unit-stride mode only) *)
@@ -107,8 +143,8 @@ let stride ~depth =
   wrap
     (Stride
        { s_depth = depth; last = 0; have_last = false;
-         deltas = Array.make 8 0; n_deltas = 0; next_slot = 0; locked = 0;
-         frontier = 0 })
+         deltas = Array.make 8 0; n_deltas = 0; next_slot = 0; majority = 0;
+         locked = 0; frontier = 0 })
 
 let greedy ~fanout = wrap (Greedy fanout)
 
@@ -131,25 +167,27 @@ let of_class cls ~depth =
        full remote fetch. *)
     Some (jump ~jump:8 ~depth:(4 * depth))
 
-(* Majority vote over the delta window. *)
-let majority_delta st =
-  let n = st.n_deltas in
-  if n < 4 then 0
-  else begin
-    let best = ref 0 and best_count = ref 0 in
-    for i = 0 to n - 1 do
-      let d = st.deltas.(i) in
-      let c = ref 0 in
-      for j = 0 to n - 1 do
-        if st.deltas.(j) = d then incr c
-      done;
-      if !c > !best_count then begin
-        best := d;
-        best_count := !c
-      end
-    done;
-    if 2 * !best_count > n && !best <> 0 then !best else 0
-  end
+(* Insert delta [x] into the window and re-vote in one pass.  After the
+   insert only [x] or the window's previous strict majority can hold a
+   strict majority: any other value's count did not grow while the
+   window kept or grew its length, so a majority now was one before.
+   Counting those two decides the vote.  The lock needs four deltas,
+   but the majority is tracked from the first: three equal deltas and
+   then a different one still hold a majority. *)
+let vote st x =
+  let deltas = st.deltas in
+  deltas.(st.next_slot) <- x;
+  let s = st.next_slot + 1 in
+  st.next_slot <- (if s = Array.length deltas then 0 else s);
+  if st.n_deltas < Array.length deltas then st.n_deltas <- st.n_deltas + 1;
+  let n = st.n_deltas and m = st.majority in
+  let cx = ref 0 and cm = ref 0 in
+  for i = 0 to n - 1 do
+    let d = deltas.(i) in
+    if d = x then incr cx else if d = m then incr cm
+  done;
+  st.majority <- (if 2 * !cx > n then x else if 2 * !cm > n then m else 0);
+  if n >= 4 then st.majority else 0
 
 (* Objects are dense pool indices, so the jump table is an array that
    doubles to cover the largest object recorded. *)
@@ -180,12 +218,8 @@ let on_access_kind k b ~obj ~missed ~scan =
     if st.have_last then begin
       let d = obj - st.last in
       if d <> 0 then begin
-        st.deltas.(st.next_slot) <- d;
-        st.next_slot <- (st.next_slot + 1) mod Array.length st.deltas;
-        if st.n_deltas < Array.length st.deltas then
-          st.n_deltas <- st.n_deltas + 1;
         let was = st.locked in
-        st.locked <- majority_delta st;
+        st.locked <- vote st d;
         if st.locked <> was then st.frontier <- 0
       end;
       if st.locked = 1 then begin
@@ -254,7 +288,8 @@ let on_access_kind k b ~obj ~missed ~scan =
       end
     end;
     st.ring.(st.ring_pos) <- obj;
-    st.ring_pos <- (st.ring_pos + 1) mod st.j_jump;
+    let p = st.ring_pos + 1 in
+    st.ring_pos <- (if p = st.j_jump then 0 else p);
     if st.ring_n < st.j_jump then st.ring_n <- st.ring_n + 1
 
 let on_access t b ~obj ~missed ~scan =
@@ -268,6 +303,9 @@ let kind_name t =
   | Stride _ -> "stride"
   | Greedy _ -> "greedy"
   | Jump _ -> "jump"
+
+let locked_stride t =
+  match t.k with Stride st -> st.locked | Greedy _ | Jump _ -> 0
 
 let calls t = t.calls
 let targets_emitted t = t.emitted

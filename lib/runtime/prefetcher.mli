@@ -8,12 +8,13 @@
     prefetchers may target other structures (a node can point into a
     different pool), so every target carries a handle.
 
-    - {e Stride}: keeps a small window of recent index deltas; when a
-      majority agree it locks that stride and fetches [depth] objects
-      ahead.  At unit stride it tops the ahead window up in
-      ~[depth]-object chunks of consecutive objects, so a batching
-      fabric can carry a whole chunk in one request instead of paying
-      the protocol cost per object.
+    - {e Stride}: keeps a window of the last 8 non-zero index deltas;
+      when at least 4 are in and a strict majority agree it locks that
+      stride and fetches [depth] objects ahead.  The vote costs one
+      pass over the window per new delta.  At unit stride it tops the
+      ahead window up in ~[depth]-object chunks of consecutive objects,
+      so a batching fabric can carry a whole chunk in one request
+      instead of paying the protocol cost per object.
     - {e Greedy recursive}: when an object is (re)fetched, scans its
       contents for tagged pointers and fetches their objects — one
       level of fan-out, good for trees.
@@ -40,7 +41,13 @@ val push : targets -> int -> int -> unit
 
 val sort_uniq : targets -> unit
 (** Sort the live pairs by (handle, object) and drop repeats, in place:
-    the result equals [List.sort_uniq compare] on the pairs. *)
+    the result equals [List.sort_uniq compare] on the pairs.  Up to
+    {!insertion_cutoff} pairs sort by insertion, longer buffers by
+    heapsort; neither allocates. *)
+
+val insertion_cutoff : int
+(** The longest buffer, in pairs, that {!sort_uniq} sorts by
+    insertion. *)
 
 val to_list : targets -> (int * int) list
 (** The live pairs in buffer order (for tests and diagnostics). *)
@@ -64,6 +71,11 @@ val on_access :
     calls it, and only on misses. *)
 
 val kind_name : t -> string
+
+val locked_stride : t -> int
+(** The stride a stride prefetcher's vote currently locks: the strict
+    majority of its delta window once it holds at least 4 deltas, else
+    [0].  Always [0] for the other kinds. *)
 
 val calls : t -> int
 (** Accesses observed (observability counter). *)

@@ -209,6 +209,8 @@ type t = {
   mutable remotable_used : int;
   clockq : ring;                  (* CLOCK over remotable residents *)
   pf_targets : Prefetcher.targets; (* one prefetcher call's candidates *)
+  mutable pf_sizes : int array;   (* a batch's object sizes, grown to the
+                                     largest batch *)
   (* Graceful degradation: a sliding window of recent transfer
      outcomes (1 byte each: did the attempt fault?).  When the
      observed fault rate over the window crosses the degrade
@@ -229,6 +231,9 @@ type t = {
   sampling : bool;                (* [Sink.sampling obs], fixed at create *)
   prof : Profile.t;
   attr : Attribution.t;
+  queue_causes : Attribution.cause array;
+      (* [Queue qp] for every queue pair, built once: a constructor
+         with an argument would be allocated at every charge *)
   (* Current access site (function, block, instruction), written by
      the interpreter before each runtime-entering instruction so stall
      charges land on the instruction that paid them.  Direct API users
@@ -303,6 +308,7 @@ let create ?(obs = Sink.null) cfg infos =
     clockq =
       { rh = Array.make 256 0; ro = Array.make 256 0; head = 0; len = 0 };
     pf_targets = Prefetcher.targets ();
+    pf_sizes = Array.make 64 0;
     fault_accounting = Fabric.faults_configured fabric;
     fw = Bytes.make fault_window '\000';
     fw_len = 0;
@@ -316,6 +322,9 @@ let create ?(obs = Sink.null) cfg infos =
     sampling = Sink.sampling obs;
     prof = Profile.create ();
     attr = Attribution.create ();
+    queue_causes =
+      Array.init cfg.fabric_config.Fabric.qp_count (fun qp ->
+          Attribution.Queue qp);
     site =
       { site_fn = Attribution.unknown_site.Attribution.s_fn;
         site_block = Attribution.unknown_site.Attribution.s_block;
@@ -430,8 +439,10 @@ let sample_all t m =
   done;
   Metrics.catch_up m ~now:cycle
 
+(* Callers test [t.sampling] first, so a run without a metrics sink
+   never makes the call. *)
 let maybe_sample t =
-  if t.sampling && Sink.metrics_due t.obs ~now:t.clock.cycles then
+  if Sink.metrics_due t.obs ~now:t.clock.cycles then
     match Sink.metrics t.obs with
     | Some m -> sample_all t m
     | None -> ()
@@ -537,8 +548,11 @@ let grow_objs (d : ds) nobjs =
   end
 
 let pow2_ceil x =
-  let rec go p = if p >= x then p else go (p * 2) in
-  go 8
+  let p = ref 8 in
+  while !p < x do
+    p := !p * 2
+  done;
+  !p
 
 let align_up x a = (x + a - 1) land lnot (a - 1)
 
@@ -821,19 +835,27 @@ let issue_prefetch_batch t (d : ds) ~origin_obj =
   let n = b.Prefetcher.n in
   if n = 1 then issue_one t d (get_ds t a.(0)) a.(1)
   else if n > 1 then begin
-    let sizes = Array.make n 0 in
+    if n > Array.length t.pf_sizes then
+      t.pf_sizes <- Array.make (max n (2 * Array.length t.pf_sizes)) 0;
+    let sizes = t.pf_sizes in
+    let bytes = ref 0 in
     for i = 0 to n - 1 do
-      sizes.(i) <- obj_size (get_ds t a.(2 * i))
+      let sz = obj_size (get_ds t a.(2 * i)) in
+      sizes.(i) <- sz;
+      bytes := !bytes + sz
     done;
     match
       Fabric.fetch_many_attempt t.fabric ~scale:d.scale ~now:t.clock.cycles
-        ~sizes
+        ~sizes ~count:n
     with
     | Error _ ->
       (* The whole coalesced request was NACKed: every target dropped. *)
       Rt_stats.note_pf_failed t.stats;
       note_fault_outcome t true
-    | Ok (tr, completions) ->
+    | Ok tr ->
+      (* The fabric's records: read before any later fetch, and the
+         marking below only posts writebacks. *)
+      let completions = Fabric.completions t.fabric in
       for i = 0 to n - 1 do
         let td = get_ds t a.(2 * i) in
         td.st.fetched_bytes <- td.st.fetched_bytes + sizes.(i)
@@ -854,8 +876,7 @@ let issue_prefetch_batch t (d : ds) ~origin_obj =
                ~ds:d.handle ~obj:origin_obj ~issued:t.clock.cycles
                ~start:tr.Fabric.t_start ~complete:tr.Fabric.t_complete
                ~queued:tr.Fabric.t_queued ~proto:tr.Fabric.t_proto
-               ~wire:tr.Fabric.t_ser ~qp:tr.Fabric.t_qp
-               ~bytes:(Array.fold_left ( + ) 0 sizes)
+               ~wire:tr.Fabric.t_ser ~qp:tr.Fabric.t_qp ~bytes:!bytes
                ?fault:(Option.map Fabric.fault_kind_name tr.Fabric.t_fault)
                ());
           (id, Some c)
@@ -979,7 +1000,8 @@ let run_prefetcher t (d : ds) ~obj ~missed =
          b.Prefetcher.n <- limit
        end
      end;
-     if t.cfg.batching then issue_prefetch_batch t d ~origin_obj:obj
+     if b.Prefetcher.n = 0 then ()
+     else if t.cfg.batching then issue_prefetch_batch t d ~origin_obj:obj
      else begin
        (* Each target on its own, judged viable only after the previous
           one was marked in flight. *)
@@ -1035,7 +1057,7 @@ let land_fetch t (d : ds) o (tr : Fabric.transfer) ~start ~root ~span_parent
     ~escalated =
   let queued = tr.Fabric.t_queued in
   let proto = tr.Fabric.t_proto + t.cfg.cost.deref_map in
-  stall t ~ds:d.handle (Attribution.Queue tr.Fabric.t_qp) queued;
+  stall t ~ds:d.handle t.queue_causes.(tr.Fabric.t_qp) queued;
   stall t ~ds:d.handle Attribution.Proto proto;
   stall t ~ds:d.handle Attribution.Wire tr.Fabric.t_ser;
   (* Latency is end-to-end: failed attempts and backoffs included. *)
@@ -1206,8 +1228,10 @@ let guard t ~write addr =
     let st = d.objs.(o) in
     let missed =
       if st land b_resident <> 0 then begin
-        let timely = settle_inflight t d o in
-        note_prefetch_hit t d o ~timely;
+        if st land (b_inflight lor b_prefetched) <> 0 then begin
+          let timely = settle_inflight t d o in
+          note_prefetch_hit t d o ~timely
+        end;
         stall t ~ds:d.handle Attribution.Guard_exec local_cost;
         d.st.guard_hits <- d.st.guard_hits + 1;
         false
@@ -1221,7 +1245,7 @@ let guard t ~write addr =
     let bits = if write then b_ref lor b_dirty else b_ref in
     d.objs.(o) <- d.objs.(o) lor bits;
     run_prefetcher t d ~obj:o ~missed;
-    maybe_sample t
+    if t.sampling then maybe_sample t
   | _ ->
     (* Unmanaged, or a guard hoisted to a loop preheader and run
        speculatively (e.g. ahead of a zero-trip loop) with an address
@@ -1305,7 +1329,7 @@ let resolve t addr ~write =
     charge t t.cfg.cost.mem_access;
     let bits = if write then b_ref lor b_dirty else b_ref in
     d.objs.(o) <- d.objs.(o) lor bits;
-    maybe_sample t;
+    if t.sampling then maybe_sample t;
     d.data
   end
   else begin
@@ -1315,7 +1339,7 @@ let resolve t addr ~write =
     let u = t.unmanaged_st in
     u.plain_accesses <- u.plain_accesses + 1;
     charge t t.cfg.cost.mem_access;
-    maybe_sample t;
+    if t.sampling then maybe_sample t;
     t.unmanaged_data
   end
 

@@ -248,7 +248,7 @@ let commit t ~now (e : exec) =
   t.service_cycles <- t.service_cycles + e.e_cost;
   t.stall_cycles <- t.stall_cycles + e.e_stall;
   t.wait_cycles <- t.wait_cycles + wait;
-  Stats.add t.lat (float_of_int (wait + e.e_cost));
+  Stats.add_int t.lat (wait + e.e_cost);
   t.records_rev <-
     { req = arr.Loadgen.req; ret = e.e_ret; cost = e.e_cost } :: t.records_rev;
   t.out_rev <- List.rev_append e.e_out t.out_rev;

@@ -20,7 +20,14 @@ type t
 val create : unit -> t
 
 val add : t -> float -> unit
-(** Record one observation: O(1), no allocation. *)
+(** Record one observation: O(1).  It allocates nothing: the
+    accumulators are unboxed fields, written in place.  A float the
+    caller computes is boxed to cross the call, so callers holding an
+    int use {!add_int}. *)
+
+val add_int : t -> int -> unit
+(** [add_int t c] is [add t (float_of_int c)], converting inside the
+    call: no float is boxed and nothing is allocated. *)
 
 val count : t -> int
 val sum : t -> float

@@ -57,6 +57,31 @@ esac
 echo "== dune build"
 dune build
 
+echo "== no polymorphic compare on the remote path"
+# The prefetcher, the fabric and the latency histogram run on every
+# remote access.  A compare the type checker cannot prove to be on
+# ints (an ['a array] element, [Stdlib.min]/[max]) compiles to a call
+# into the OCaml runtime where an int compare is one instruction;
+# objdump -dr lists such calls as relocations.
+if command -v objdump > /dev/null 2>&1; then
+  for obj in lib/runtime/.cards_runtime.objs/native/cards_runtime__Prefetcher.o \
+      lib/net/.cards_net.objs/native/cards_net__Fabric.o \
+      lib/util/.cards_util.objs/native/cards_util__Stats.o; do
+    test -f "_build/default/$obj" || {
+      echo "check.sh: _build/default/$obj was not built" >&2; exit 1; }
+    calls=$(objdump -dr "_build/default/$obj" | grep -E \
+      '[[:space:]]R_[A-Z0-9_]+[[:space:]]+(caml_(compare|equal|notequal|lessthan|lessequal|greaterthan|greaterequal)|camlStdlib[._]+(min|max)_[0-9]+)([-+]0x[0-9a-f]+)?$' \
+      || true)
+    if [ -n "$calls" ]; then
+      echo "check.sh: polymorphic compare in $obj:" >&2
+      echo "$calls" >&2
+      exit 1
+    fi
+  done
+else
+  echo "  objdump not found: skipped"
+fi
+
 echo "== dune runtest"
 dune runtest
 
@@ -177,13 +202,12 @@ done
 
 echo "== allocation ceiling: minor words per interpreted instruction"
 # The decoded engine's per-instruction charge, calls, guard hits, heap
-# accesses and prefetch issue allocate nothing and a demand miss a
-# bounded few words, so a whole run allocates well under half a minor
-# word per instruction (demand misses, prefetch batches, setup): 0.19,
-# 0.40 and 0.05 on the three runs below.  Fail above 0.5 words per
-# instruction.  With --prefetch none every remote fault is a demand
-# miss.  The built binary runs directly: dune exec is an OCaml program
-# itself, and its own allocation would count.
+# accesses, prefetch batches, demand misses and evictions allocate
+# nothing, so what a whole run allocates is set-up: 0.048 minor words
+# per instruction on each of the three runs below.  Fail above 0.1
+# words per instruction.  With --prefetch none every remote fault is a
+# demand miss.  The built binary runs directly: dune exec is an OCaml
+# program itself, and its own allocation would count.
 for pol in "--policy all-remotable --local 1M --remotable 768K" \
     "--policy all-remotable --local 1M --remotable 768K --prefetch none" \
     "--policy all-local"; do
@@ -194,9 +218,9 @@ for pol in "--policy all-remotable --local 1M --remotable 768K" \
   instrs=$(sed -n 's/.* \([0-9][0-9]*\) instructions.*/\1/p' "$tmpdir/alloc.err")
   words=$(sed -n 's/^minor_words: *\([0-9][0-9]*\).*/\1/p' "$tmpdir/alloc.err")
   if [ -z "$instrs" ] || [ -z "$words" ] \
-      || [ $((2 * words)) -gt "$instrs" ]; then
+      || [ $((10 * words)) -gt "$instrs" ]; then
     echo "check.sh: fig9_list.mc $pol: ${words:-?} minor words for" \
-      "${instrs:-?} instructions (ceiling 0.5 per instruction)" >&2
+      "${instrs:-?} instructions (ceiling 0.1 per instruction)" >&2
     exit 1
   fi
   echo "  $pol: $words minor words, $instrs instructions"

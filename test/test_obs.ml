@@ -1157,11 +1157,11 @@ let test_spans_off_allocation_free () =
   zero "guard hits alternating between two sites"
     (minor_words_per_iter two_sites n)
 
-(* A demand miss allocates a bounded handful of words: the fabric's
-   transfer record, the queue-pair cause of its ledger charge and the
-   latency histogram's boxed floats.  Guards cycle over a 64-object
-   pool behind a 2-object remotable cache with prefetching off, so
-   every guard misses. *)
+(* A demand miss allocates nothing: the fabric hands back records it
+   owns, the queue-pair causes of the ledger are built once and the
+   latency histogram keeps its floats unboxed.  Guards cycle over a
+   64-object pool behind a 2-object remotable cache with prefetching
+   off, so every guard misses and evicts. *)
 let test_demand_miss_allocation () =
   let rt =
     R.Runtime.create
@@ -1186,8 +1186,61 @@ let test_demand_miss_allocation () =
   for _ = 1 to 128 do miss () done;
   check Alcotest.int "every guard misses" 128 (faults () - before);
   check Alcotest.bool
-    (Printf.sprintf "a demand miss allocates at most 24 words (%.1f)" words)
-    true (words <= 24.0)
+    (Printf.sprintf "a demand miss allocates nothing (%.3f words)" words)
+    true (Float.abs words < 0.01)
+
+(* The rest of the remote path allocates nothing either: a latency
+   sample, and a unit-stride walk whose prefetcher tops its window up
+   with one 12-object batch every 12 guards.  The walk laps a 256-object
+   pool behind a 32-object cache, so each batch lands on objects
+   evicted a lap before, and its own arrivals evict (dirty ones with a
+   coalesced writeback).  A lap is the same work every time, so N and
+   2N laps cancel everything but the per-guard cost. *)
+let test_remote_path_allocation_free () =
+  let zero what words =
+    check Alcotest.bool
+      (Printf.sprintf "%s allocates nothing (%.3f words)" what words)
+      true
+      (Float.abs words < 0.01)
+  in
+  let s = Cards_util.Stats.create () in
+  let x = 12_345.0 in
+  zero "Stats.add" (minor_words_per_iter (fun () -> Cards_util.Stats.add s x) 10_000);
+  zero "Stats.add_int"
+    (minor_words_per_iter (fun () -> Cards_util.Stats.add_int s 54_321) 10_000);
+  let pool = 256 in
+  let rt =
+    R.Runtime.create
+      { R.Runtime.default_config with
+        policy = R.Policy.All_remotable; k = 0.0;
+        local_bytes = 1024 * 1024; remotable_bytes = 32 * 4096;
+        prefetch_mode = R.Runtime.Pf_stride_only; prefetch_depth = 11 }
+      [| R.Static_info.default ~sid:0 |]
+  in
+  let h = R.Runtime.ds_init rt ~sid:0 in
+  let a = R.Runtime.ds_alloc rt ~handle:h ~size:(pool * 4096) in
+  let i = ref 0 in
+  let walk () =
+    R.Runtime.guard rt ~write:(!i land 1 = 0) (a + ((!i mod pool) * 4096));
+    incr i
+  in
+  let fs () = R.Runtime.fabric_stats rt in
+  let before = fs () in
+  zero "a unit-stride walk issuing 12-object batches"
+    (minor_words_per_iter walk (40 * pool));
+  let after = fs () in
+  let batches = after.Cards_net.Fabric.batches - before.Cards_net.Fabric.batches in
+  let objects =
+    after.Cards_net.Fabric.batched_objects - before.Cards_net.Fabric.batched_objects
+  in
+  check Alcotest.bool "the walk issued batches" true (batches > 0);
+  check Alcotest.bool
+    (Printf.sprintf "most batches carry 12 objects (%d objects in %d)" objects
+       batches)
+    true
+    (objects >= 11 * batches);
+  check Alcotest.bool "dirty evictions were written back" true
+    (after.Cards_net.Fabric.wb_batches > before.Cards_net.Fabric.wb_batches)
 
 (* The decoded engine end to end: a MiniC loop of guarded i64 and f64
    loads and stores and float-register arithmetic, and a loop making
@@ -1394,6 +1447,8 @@ let suite =
       test_spans_off_allocation_free;
     Alcotest.test_case "demand miss allocation" `Quick
       test_demand_miss_allocation;
+    Alcotest.test_case "remote path allocation-free" `Quick
+      test_remote_path_allocation_free;
     Alcotest.test_case "decoded loop allocation-free" `Quick
       test_decoded_loop_allocation_free;
     QCheck_alcotest.to_alcotest prop_ledger_cache_exact ]

@@ -53,11 +53,22 @@ let test_cost_table1 () =
 
 let unit_scale = N.Fabric.unit_scale
 
-(* Fault-free requests through the attempt API (rate 0 never fails). *)
+(* Fault-free requests through the attempt API (rate 0 never fails).
+   [fetch] returns the fabric's own record, which the next request
+   rewrites, so callers read it at once; [fetch_many] copies the
+   transfer and the batch's completion times out of the fabric. *)
 let fetch f ~now ~bytes =
   Result.get_ok (N.Fabric.fetch_attempt f ~scale:unit_scale ~now ~bytes)
+
+let completions_of f n = Array.sub (N.Fabric.completions f) 0 n
+
 let fetch_many f ~now ~sizes =
-  Result.get_ok (N.Fabric.fetch_many_attempt f ~scale:unit_scale ~now ~sizes)
+  let n = Array.length sizes in
+  let tr =
+    Result.get_ok
+      (N.Fabric.fetch_many_attempt f ~scale:unit_scale ~now ~sizes ~count:n)
+  in
+  (N.Fabric.copy_transfer tr, completions_of f n)
 
 let test_fabric_59k () =
   (* Table 1: a 4 KiB demand fetch lands at ~59 K cycles. *)
@@ -129,7 +140,18 @@ let test_fabric_fetch_many_amortizes () =
   check Alcotest.int "objects counted as fetches" 4 st.fetches;
   check Alcotest.int "one batch" 1 st.batches;
   check Alcotest.int "batched objects" 4 st.batched_objects;
-  check Alcotest.int "bytes counted" (4 * 4096) st.fetched_bytes
+  check Alcotest.int "bytes counted" (4 * 4096) st.fetched_bytes;
+  (* The batch is [sizes.(0 .. count-1)]: an empty one, or one past
+     the array, is rejected. *)
+  List.iter
+    (fun count ->
+      match
+        N.Fabric.fetch_many_attempt f ~scale:unit_scale ~now:0
+          ~sizes:(Array.make 4 4096) ~count
+      with
+      | _ -> Alcotest.failf "count %d accepted" count
+      | exception Invalid_argument _ -> ())
+    [ 0; 5 ]
 
 let test_fabric_qp_dispatch () =
   (* Two queue pairs: two simultaneous fetches ride different QPs with
@@ -137,8 +159,10 @@ let test_fabric_qp_dispatch () =
   let f =
     N.Fabric.create { N.Fabric.default_config with qp_count = 2 }
   in
-  let t1 = fetch f ~now:0 ~bytes:4096 in
-  let t2 = fetch f ~now:0 ~bytes:4096 in
+  (* Each transfer is compared with a later one, so each is copied out
+     of the fabric before the next request rewrites it. *)
+  let t1 = N.Fabric.copy_transfer (fetch f ~now:0 ~bytes:4096) in
+  let t2 = N.Fabric.copy_transfer (fetch f ~now:0 ~bytes:4096) in
   check Alcotest.int "first not queued" 0 t1.N.Fabric.t_queued;
   check Alcotest.int "second not queued" 0 t2.N.Fabric.t_queued;
   check Alcotest.bool "different QPs" true
@@ -355,15 +379,94 @@ let test_jump_window_farthest_first () =
     (objs_of p ~obj:1 ~missed:true)
 
 (* The in-place sort of a target buffer is [List.sort_uniq compare] on
-   its pairs, duplicates and all. *)
+   its pairs, duplicates and all.  Lengths run to four times the
+   insertion-sort cutoff, so both sorts are exercised, and now and then
+   far past it. *)
 let prop_targets_sort_uniq =
+  let cutoff = R.Prefetcher.insertion_cutoff in
   QCheck.Test.make ~name:"target buffer sort_uniq = List.sort_uniq" ~count:500
-    QCheck.(list (pair (int_range 0 3) (int_range 0 40)))
+    QCheck.(
+      list_of_size
+        Gen.(frequency [ (9, int_range 0 (4 * cutoff)); (1, int_range 0 2000) ])
+        (pair (int_range 0 3) (int_range 0 40)))
     (fun pairs ->
       let b = R.Prefetcher.targets () in
       List.iter (fun (h, o) -> R.Prefetcher.push b h o) pairs;
       R.Prefetcher.sort_uniq b;
       R.Prefetcher.to_list b = List.sort_uniq compare pairs)
+
+(* The O(window²) vote the stride prefetcher ran on every new delta
+   before its one-pass vote, kept as that vote's oracle: the strict
+   majority of the window once it holds at least 4 deltas, else 0. *)
+let majority_delta (deltas : int array) =
+  let n = Array.length deltas in
+  if n < 4 then 0
+  else begin
+    let best = ref 0 and best_count = ref 0 in
+    for i = 0 to n - 1 do
+      let d = deltas.(i) in
+      let c = ref 0 in
+      for j = 0 to n - 1 do
+        if deltas.(j) = d then incr c
+      done;
+      if !c > !best_count then begin
+        best := d;
+        best_count := !c
+      end
+    done;
+    if 2 * !best_count > n && !best <> 0 then !best else 0
+  end
+
+(* Walk a stride prefetcher through [steps] (object deltas from 1000)
+   and compare its lock after every access with the oracle's vote over
+   the last 8 non-zero deltas. *)
+let stride_vote_agrees steps =
+  let p = R.Prefetcher.stride ~depth:2 in
+  let b = R.Prefetcher.targets () in
+  let access obj =
+    b.R.Prefetcher.n <- 0;
+    R.Prefetcher.on_access p b ~obj ~missed:false ~scan:no_scan
+  in
+  let obj = ref 1000 and window = ref [] in
+  access !obj;
+  List.for_all
+    (fun d ->
+      obj := !obj + d;
+      if d <> 0 then window := List.filteri (fun i _ -> i < 8) (d :: !window);
+      access !obj;
+      R.Prefetcher.locked_stride p = majority_delta (Array.of_list !window))
+    steps
+
+(* Deltas from a small alphabet with a favourite, so majorities form,
+   hold, fade and change hands.  Streams run past 8 deltas, so the
+   window fills (3 -> 4 -> 8) and wraps; 0 repeats an object and adds
+   no delta. *)
+let prop_stride_vote_oracle =
+  QCheck.Test.make ~name:"one-pass stride vote = O(window^2) vote" ~count:1000
+    QCheck.(
+      list_of_size Gen.(int_range 0 40)
+        (oneofl [ -2; -1; 0; 1; 1; 1; 2; 5 ]))
+    stride_vote_agrees
+
+let test_stride_vote_edges () =
+  let agrees what steps =
+    check Alcotest.bool what true (stride_vote_agrees steps)
+  in
+  (* Three equal deltas, then a different fourth: 3 of 4 is a strict
+     majority, so the lock engages at the fourth delta. *)
+  agrees "3 -> 4 fill" [ 2; 2; 2; 5 ];
+  let p = R.Prefetcher.stride ~depth:2 in
+  List.iter
+    (fun o -> ignore (call p ~obj:o ~missed:false))
+    [ 0; 2; 4; 6; 11 ];
+  check Alcotest.int "locks 2 at the fourth delta" 2
+    (R.Prefetcher.locked_stride p);
+  (* A full window that wraps while its majority changes hands, and a
+     tie (4 of 8) that unlocks. *)
+  agrees "wrap-around" [ 1; 1; 1; 1; 1; 3; 3; 3; 3; 3; 3; 3; 1; 3 ];
+  agrees "tie unlocks" [ 1; 1; 1; 1; 1; 1; 1; 1; 3; 3; 3; 3 ];
+  check Alcotest.int "other kinds lock nothing" 0
+    (R.Prefetcher.locked_stride (R.Prefetcher.greedy ~fanout:2))
 
 let test_of_class () =
   check Alcotest.bool "no_prefetch -> none" true
@@ -979,7 +1082,10 @@ let test_fabric_fault_transient () =
   (* A NACK rejects the whole batch: one turnaround, nothing counted
      as fetched or batched. *)
   let f = fault_fabric [ N.Fabric.Transient ] in
-  (match N.Fabric.fetch_many_attempt f ~scale:unit_scale ~now:0 ~sizes:batch3 with
+  (match
+     N.Fabric.fetch_many_attempt f ~scale:unit_scale ~now:0 ~sizes:batch3
+       ~count:3
+   with
    | Ok _ -> Alcotest.fail "rate-1 transient must NACK the batch"
    | Error fl ->
      check Alcotest.int "batch NACK after proto" proto fl.N.Fabric.f_fail);
@@ -1016,9 +1122,13 @@ let test_fabric_fault_late () =
     fetch_many (N.Fabric.create N.Fabric.default_config) ~now:0 ~sizes:batch3
   in
   let f = fault_fabric [ N.Fabric.Late ] in
-  (match N.Fabric.fetch_many_attempt f ~scale:unit_scale ~now:0 ~sizes:batch3 with
+  (match
+     N.Fabric.fetch_many_attempt f ~scale:unit_scale ~now:0 ~sizes:batch3
+       ~count:3
+   with
    | Error _ -> Alcotest.fail "a late batch still completes"
-   | Ok (tr, completions) ->
+   | Ok tr ->
+     let completions = completions_of f 3 in
      check Alcotest.bool "batch tagged late" true
        (tr.N.Fabric.t_fault = Some N.Fabric.Late);
      let delay = completions.(0) - clean.(0) in
@@ -1052,9 +1162,13 @@ let test_fabric_fault_duplicate () =
   let clean_f = N.Fabric.create N.Fabric.default_config in
   let _, clean = fetch_many clean_f ~now:0 ~sizes:batch3 in
   let f = fault_fabric [ N.Fabric.Duplicate ] in
-  (match N.Fabric.fetch_many_attempt f ~scale:unit_scale ~now:0 ~sizes:batch3 with
+  (match
+     N.Fabric.fetch_many_attempt f ~scale:unit_scale ~now:0 ~sizes:batch3
+       ~count:3
+   with
    | Error _ -> Alcotest.fail "a duplicated batch still completes"
-   | Ok (tr, completions) ->
+   | Ok tr ->
+     let completions = completions_of f 3 in
      check Alcotest.bool "batch tagged duplicate" true
        (tr.N.Fabric.t_fault = Some N.Fabric.Duplicate);
      check (Alcotest.array Alcotest.int) "batch data on time" clean
@@ -1078,7 +1192,11 @@ let test_fabric_attempt_rate0_identity () =
        = N.Fabric.fetch_attempt b ~scale:unit_scale ~now ~bytes:4096);
     check Alcotest.bool "identical batch" true
       (N.Fabric.fetch_many_attempt a ~scale:unit_scale ~now ~sizes:batch3
-       = N.Fabric.fetch_many_attempt b ~scale:unit_scale ~now ~sizes:batch3);
+         ~count:3
+       = N.Fabric.fetch_many_attempt b ~scale:unit_scale ~now ~sizes:batch3
+           ~count:3);
+    check (Alcotest.array Alcotest.int) "identical batch completions"
+      (completions_of b 3) (completions_of a 3);
     N.Fabric.writeback a ~now ~bytes:4096;
     N.Fabric.writeback b ~now ~bytes:4096
   done;
@@ -1130,7 +1248,9 @@ let test_fabric_now_backwards_rejected () =
   (* Re-entering at the same now is fine (retries re-issue "now"). *)
   ignore (fetch_many f ~now:1000 ~sizes:[| 4096 |]);
   (try
-     ignore (N.Fabric.fetch_many_attempt f ~scale:unit_scale ~now:999 ~sizes:[| 4096 |]);
+     ignore
+       (N.Fabric.fetch_many_attempt f ~scale:unit_scale ~now:999
+          ~sizes:[| 4096 |] ~count:1);
      Alcotest.fail "inbound clock moved backwards undetected"
    with Invalid_argument _ -> ());
   N.Fabric.writeback_many f ~now:2000 ~count:1 ~bytes:4096;
@@ -1459,6 +1579,7 @@ let suite =
     ("policy explicit", `Quick, test_policy_explicit);
     ("stride prefetcher locks", `Quick, test_stride_prefetcher_locks);
     ("stride majority vote", `Quick, test_stride_prefetcher_majority);
+    ("stride vote edges", `Quick, test_stride_vote_edges);
     ("stride quiet on noise", `Quick, test_stride_prefetcher_random_stays_quiet);
     ("greedy scans on miss", `Quick, test_greedy_scans_on_miss);
     ("jump learns", `Quick, test_jump_learns_second_traversal);
@@ -1519,6 +1640,7 @@ let suite =
     ("stride hysteresis", `Quick, test_stride_hysteresis);
     ("jump window farthest first", `Quick, test_jump_window_farthest_first);
     qcheck prop_targets_sort_uniq;
+    qcheck prop_stride_vote_oracle;
     qcheck prop_fabric_completion_monotone;
     qcheck prop_addr_roundtrip;
     qcheck prop_addr_arith_stays_in_ds;
