@@ -62,8 +62,9 @@ type stats = {
   mutable wb_faults : int;
 }
 
-(* Every [max] here compares cycle counts; the polymorphic
-   [Stdlib.max] would make each request call into the runtime. *)
+(* Every [min] and [max] here compares cycle counts; the polymorphic
+   [Stdlib] ones would make each request call into the runtime. *)
+let min (a : int) b = if a <= b then a else b
 let max (a : int) b = if a >= b then a else b
 
 type scale = { s_proto : float; s_wire : float }

@@ -40,14 +40,11 @@ val push : targets -> int -> int -> unit
 (** [push b handle obj] appends one target. *)
 
 val sort_uniq : targets -> unit
-(** Sort the live pairs by (handle, object) and drop repeats, in place:
-    the result equals [List.sort_uniq compare] on the pairs.  Up to
-    {!insertion_cutoff} pairs sort by insertion, longer buffers by
-    heapsort; neither allocates. *)
-
-val insertion_cutoff : int
-(** The longest buffer, in pairs, that {!sort_uniq} sorts by
-    insertion. *)
+(** Sort the live pairs by (handle, object) and drop repeats, in place
+    and without allocating: the result equals [List.sort_uniq compare]
+    on the pairs.  The sort is an insertion sort, linear on pairs that
+    arrive in order and quadratic at worst: it is sized for one
+    access's prefetch window (at most 4 x depth pairs). *)
 
 val to_list : targets -> (int * int) list
 (** The live pairs in buffer order (for tests and diagnostics). *)

@@ -62,7 +62,10 @@ echo "== no polymorphic compare on the remote path"
 # remote access.  A compare the type checker cannot prove to be on
 # ints (an ['a array] element, [Stdlib.min]/[max]) compiles to a call
 # into the OCaml runtime where an int compare is one instruction;
-# objdump -dr lists such calls as relocations.
+# objdump -dr lists such calls as relocations.  It names direct calls
+# only: a Stdlib function passed as a value ([Array.fold_left min]) is
+# read out of the Stdlib module block, which the relocation does not
+# name, so the three files use int [min]/[max] of their own.
 if command -v objdump > /dev/null 2>&1; then
   for obj in lib/runtime/.cards_runtime.objs/native/cards_runtime__Prefetcher.o \
       lib/net/.cards_net.objs/native/cards_net__Fabric.o \

@@ -379,15 +379,14 @@ let test_jump_window_farthest_first () =
     (objs_of p ~obj:1 ~missed:true)
 
 (* The in-place sort of a target buffer is [List.sort_uniq compare] on
-   its pairs, duplicates and all.  Lengths run to four times the
-   insertion-sort cutoff, so both sorts are exercised, and now and then
-   far past it. *)
+   its pairs, duplicates and all.  Lengths mostly run to 256 pairs,
+   the longest window a prefetcher emits (a jump window at byte-budget
+   depth 64), and now and then far past it. *)
 let prop_targets_sort_uniq =
-  let cutoff = R.Prefetcher.insertion_cutoff in
   QCheck.Test.make ~name:"target buffer sort_uniq = List.sort_uniq" ~count:500
     QCheck.(
       list_of_size
-        Gen.(frequency [ (9, int_range 0 (4 * cutoff)); (1, int_range 0 2000) ])
+        Gen.(frequency [ (9, int_range 0 256); (1, int_range 0 2000) ])
         (pair (int_range 0 3) (int_range 0 40)))
     (fun pairs ->
       let b = R.Prefetcher.targets () in
