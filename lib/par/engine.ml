@@ -1,9 +1,9 @@
 module S = Cards_serve.Serve
 module T = Cards_serve.Tenant
 
-(* The parallel serving engine: tenants execute on OCaml 5 domains
-   under their own local virtual clocks, while the calling domain (the
-   coordinator) replays the exact sequential DRR schedule
+(* The parallel serving engine: tenants build and execute on OCaml 5
+   domains under their own local virtual clocks, while the calling
+   domain (the coordinator) replays the exact sequential DRR schedule
    ([Serve.drive]) with "execute now" swapped for "commit the tenant's
    next completion record".
 
@@ -18,124 +18,253 @@ module T = Cards_serve.Tenant
    Real interleaving can therefore change only wall-clock time, never
    the virtual-time schedule.
 
-   The engine is work-conserving: no domain owns a tenant.  Every
-   domain runs the same step — claim an idle tenant through its [free]
-   flag, execute its next request, push the record into its channel,
-   release the claim — so a tenant executes on one domain at a time
-   and its records enter its channel in execution order.  The
-   coordinator commits; when the record it needs is not queued yet it
-   executes that tenant itself, or else any other idle one, and blocks
-   in [Chan.pop] only when every live tenant is running on another
+   The engine is work-conserving: the whole mix is one set of jobs —
+   a program job per distinct source (compile and footprint probe), a
+   build job per tenant, and each tenant's requests — and no domain
+   owns any of them.  Every domain runs the same step: take the first
+   unclaimed program job, else the first tenant whose program exists
+   and whose build nobody has claimed, else an idle built tenant's
+   next request.  Every job is claimed through an [Atomic] flag, so it
+   runs once, and a tenant executes on one domain at a time with its
+   records entering its channel in execution order.  The coordinator
+   steps until every tenant is built, admits the mix, and then
+   commits; when the record it needs is not queued yet it executes
+   that tenant itself, or else any other idle one, and blocks in
+   [Chan.pop] only when every live tenant is running on another
    domain. *)
 
 type serving = {
-  tenants : T.t array;
+  specs : T.spec array;
+  sources : string array;           (* distinct sources, first-seen order *)
+  program_of : int array;           (* tenant -> index into [sources] *)
+  first : int array;                (* source -> its first tenant *)
+  programs : T.program option Atomic.t array;  (* set once compiled *)
+  unclaimed : bool Atomic.t array;  (* program job k not yet claimed *)
+  tenants : T.t option array;       (* written before [built] counts it *)
+  unbuilt : bool Atomic.t array;    (* tenant i's build not yet claimed *)
+  built : int Atomic.t;
+  jobs : int Atomic.t;              (* program and build jobs unclaimed *)
   chans : T.exec Chan.t array;
   free : bool Atomic.t array;
-      (* tenant i has requests left and no domain holds it *)
+      (* tenant i is built, has requests left and no domain holds it *)
   idle : int Atomic.t;
-      (* never undercounts [free]: a release counts before it sets the
-         flag, a claim clears the flag before it uncounts *)
+      (* never undercounts the set [unclaimed], [unbuilt] and [free]
+         flags: a release counts before it sets a flag, a claim clears
+         the flag before it uncounts *)
   failure : exn option Atomic.t;
+  gen : int Atomic.t;               (* bumped when a job may be ready *)
+  sleepers : int Atomic.t;
+  bell : Mutex.t;
+  rung : Condition.t;
+  program : string -> T.program;
+  build : T.program -> T.spec -> T.t;
   perturb : int -> unit;
 }
 
-let claim s i =
-  Atomic.get s.free.(i)
-  && Atomic.compare_and_set s.free.(i) true false
-  && (Atomic.decr s.idle; true)
-
-let release s i =
-  if T.exec_remaining s.tenants.(i) > 0 then begin
-    Atomic.incr s.idle;
-    Atomic.set s.free.(i) true
+(* A domain with nothing ready while builds are outstanding sleeps
+   until [gen] moves: a program or tenant is published, a tenant is
+   released while builds are outstanding, or the run fails.  The
+   sleeper counts itself before it reads [gen], and a ringer bumps
+   [gen] before it reads the count, so no wake-up is lost. *)
+let ring s =
+  Atomic.incr s.gen;
+  if Atomic.get s.sleepers > 0 then begin
+    Mutex.lock s.bell;
+    Condition.broadcast s.rung;
+    Mutex.unlock s.bell
   end
 
+let await s g =
+  Atomic.incr s.sleepers;
+  Mutex.lock s.bell;
+  while Atomic.get s.gen = g do
+    Condition.wait s.rung s.bell
+  done;
+  Mutex.unlock s.bell;
+  Atomic.decr s.sleepers
+
+let claim s flag =
+  Atomic.get flag
+  && Atomic.compare_and_set flag true false
+  && (Atomic.decr s.idle; true)
+
+let all_built s = Atomic.get s.built = Array.length s.specs
+let tenant s i = Option.get s.tenants.(i)
+
+(* Hand tenant [i] back while it has requests left; true if it did. *)
+let release s i =
+  T.exec_remaining (tenant s i) > 0
+  && (Atomic.incr s.idle;
+      Atomic.set s.free.(i) true;
+      true)
+
 (* The first failure wins: it poisons every channel, so a blocked pop
-   wakes, and every domain checks it before it starts a request. *)
+   wakes, wakes every sleeper, and every domain checks it before it
+   starts a job. *)
 let fail s e =
-  if Atomic.compare_and_set s.failure None (Some e) then
-    Array.iter (fun c -> Chan.poison c e) s.chans
+  if Atomic.compare_and_set s.failure None (Some e) then begin
+    Array.iter (fun c -> Chan.poison c e) s.chans;
+    ring s
+  end
 
-(* Execute claimed tenant [i]'s next request. *)
-let exec s i =
+(* Every job starts here, on whichever domain claimed it. *)
+let start s i =
   Option.iter (fun e -> raise (Chan.Poisoned e)) (Atomic.get s.failure);
-  s.perturb i;
-  T.exec_next s.tenants.(i)
+  s.perturb i
 
-(* The step every domain runs: claim the first idle tenant at or after
-   [from], run one request into its channel, release it.  Returns the
-   tenant, or -1 when none was idle. *)
-let step s from =
-  let n = Array.length s.tenants in
+(* Program job [k] runs under its first tenant's index: that tenant
+   cannot be building or running before the program exists. *)
+let program_job s =
+  let rec scan k =
+    if k = Array.length s.sources then -1
+    else if claim s s.unclaimed.(k) then begin
+      Atomic.decr s.jobs;
+      start s s.first.(k);
+      Atomic.set s.programs.(k) (Some (s.program s.sources.(k)));
+      ring s;
+      s.first.(k)
+    end
+    else scan (k + 1)
+  in
+  scan 0
+
+let build_job s =
+  let rec scan i =
+    if i = Array.length s.specs then -1
+    else
+      match Atomic.get s.programs.(s.program_of.(i)) with
+      | Some prog when claim s s.unbuilt.(i) ->
+        Atomic.decr s.jobs;
+        start s i;
+        s.tenants.(i) <- Some (s.build prog s.specs.(i));
+        Atomic.incr s.built;
+        ignore (release s i);
+        ring s;
+        i
+      | _ -> scan (i + 1)
+  in
+  scan 0
+
+(* Claim the first idle tenant at or after [from], run one request
+   into its channel, release it. *)
+let request s from =
+  let n = Array.length s.specs in
   let rec scan k =
     if k = n then -1
     else
       let i = (from + k) mod n in
-      if claim s i then begin
-        Chan.push s.chans.(i) (exec s i);
-        release s i;
+      if claim s s.free.(i) then begin
+        start s i;
+        Chan.push s.chans.(i) (T.exec_next (tenant s i));
+        if release s i && not (all_built s) then ring s;
         i
       end
       else scan (k + 1)
   in
   scan 0
 
-(* A worker steps until [idle] reads 0: every live tenant is then held
-   by another domain, and since tenants only ever finish, the domains
-   left can run every tenant still live. *)
+(* The step every domain runs: one job, programs first, then builds,
+   then requests.  Returns the tenant it worked for (a program job's
+   first tenant), or -1 when nothing was ready. *)
+let step s from =
+  if Atomic.get s.jobs = 0 then request s from
+  else
+    match program_job s with
+    | -1 -> (match build_job s with -1 -> request s from | i -> i)
+    | i -> i
+
+(* Nothing was ready: while builds are outstanding something will be
+   published, so sleep until it is; after that, whatever [idle] counts
+   is a release in flight, so spin. *)
+let idle_wait s g = if all_built s then Domain.cpu_relax () else await s g
+
+(* A worker steps until [idle] reads 0: every job is then claimed and
+   every live tenant held by another domain, and since tenants only
+   ever finish, the domains left can run every tenant still live. *)
 let serve_worker s w =
   let rec loop from =
-    if Atomic.get s.idle > 0 then
+    if Atomic.get s.idle > 0 && Option.is_none (Atomic.get s.failure) then
+      let g = Atomic.get s.gen in
       match step s from with
-      | -1 -> Domain.cpu_relax (); loop from
+      | -1 -> idle_wait s g; loop from
       | i -> loop (i + 1)
   in
   try loop w with e -> fail s e
 
-(* The coordinator's side: while [i]'s next record is not queued, it
-   steps from [i] — [i] itself when idle, else any idle tenant.  With
-   none idle, another domain holds [i] or ran its last request, and
-   its holder pushes before it lets go, so the blocking pop returns. *)
+(* The coordinator steps until every tenant is built. *)
+let rec build_all s from =
+  Option.iter (fun e -> raise (Chan.Poisoned e)) (Atomic.get s.failure);
+  if not (all_built s) then begin
+    let g = Atomic.get s.gen in
+    match step s from with
+    | -1 -> idle_wait s g; build_all s from
+    | i -> build_all s (i + 1)
+  end
+
+(* The coordinator's side of serving: while [i]'s next record is not
+   queued, it steps from [i] — [i] itself when idle, else any idle
+   tenant.  With none idle, another domain holds [i] or ran its last
+   request, and its holder pushes before it lets go, so the blocking
+   pop returns. *)
 let rec record s i =
   match Chan.try_pop s.chans.(i) with
   | Some e -> e
   | None -> if step s i >= 0 then record s i else Chan.pop s.chans.(i)
 
+let coordinate s (cfg : S.config) =
+  build_all s 0;
+  let tenants = Array.map Option.get s.tenants in
+  let pin_admitted = S.admit cfg tenants in
+  let serve i ~now = T.commit tenants.(i) ~now (record s i) in
+  (S.drive cfg ~tenants ~pin_admitted ~serve, Array.map T.fabric_events tenants)
+
 let run_internal ?(perturb = ignore) ~trace_fabric ~domains (cfg : S.config)
     (specs : T.spec array) =
   if domains < 1 then invalid_arg "Engine.run: domains must be >= 1";
-  (* The build fans out over [domains] domains, the calling one
-     included: a tenant built on a domain keeps its state in that
-     domain's heap, and every extra building domain adds to the peak
-     resident set. *)
-  let tenants, pin_admitted =
-    S.build ~trace_fabric ~perturb ~domains cfg specs
-  in
-  let live = Array.map (fun t -> T.exec_remaining t > 0) tenants in
+  let n = Array.length specs in
+  if n = 0 then invalid_arg "Engine.run: no tenants";
+  let sources, program_of = S.sources specs in
+  let np = Array.length sources in
+  let first = Array.make np n in
+  Array.iteri (fun i k -> first.(k) <- min first.(k) i) program_of;
+  let flags k v = Array.init k (fun _ -> Atomic.make v) in
+  let base = cfg.S.base and engine = cfg.S.engine in
+  let pin_share = S.pin_share cfg ~tenants:n in
   let s =
-    { tenants;
-      chans = Array.map (fun _ -> Chan.create ()) tenants;
-      free = Array.map Atomic.make live;
-      idle =
-        Atomic.make (Array.fold_left (fun k l -> k + Bool.to_int l) 0 live);
+    { specs; sources; program_of; first;
+      programs = Array.init np (fun _ -> Atomic.make None);
+      unclaimed = flags np true;
+      tenants = Array.make n None;
+      unbuilt = flags n true;
+      built = Atomic.make 0;
+      jobs = Atomic.make (np + n);
+      chans = Array.init n (fun _ -> Chan.create ());
+      free = flags n false;
+      idle = Atomic.make (np + n);
       failure = Atomic.make None;
+      gen = Atomic.make 0;
+      sleepers = Atomic.make 0;
+      bell = Mutex.create ();
+      rung = Condition.create ();
+      program = T.program ~base ~engine;
+      build = T.build_from ~trace_fabric ~base ~engine ~pin_share;
       perturb }
   in
-  (* n tenants keep at most n domains busy, the coordinator included. *)
-  let workers = min domains (Array.length tenants - 1) in
-  let domains =
-    Array.init workers (fun w -> Domain.spawn (fun () -> serve_worker s w))
-  in
-  let serve i ~now = T.commit tenants.(i) ~now (record s i) in
-  match S.drive cfg ~tenants ~pin_admitted ~serve with
-  | result ->
-    Array.iter Domain.join domains;
-    (result, Array.map T.fabric_events tenants)
-  | exception e ->
-    fail s e;
-    Array.iter Domain.join domains;
-    raise (Option.get (Atomic.get s.failure))
+  let result = ref None in
+  (* n tenants keep at most n domains busy, the coordinator included.
+     A failure on the coordinator is re-raised only once every worker
+     has returned ([Pool.run] waits for them). *)
+  Cards_util.Pool.run
+    ~domains:(1 + min domains (n - 1))
+    (fun w ->
+      if w > 0 then serve_worker s w
+      else
+        match coordinate s cfg with
+        | r -> result := Some r
+        | exception e ->
+          fail s e;
+          raise (Option.get (Atomic.get s.failure)));
+  Option.get !result
 
 let run ?perturb ~domains cfg specs =
   fst (run_internal ?perturb ~trace_fabric:false ~domains cfg specs)

@@ -147,27 +147,58 @@ let drive (cfg : config) ~(tenants : Tenant.t array) ~(pin_admitted : int)
     pin_budget = cfg.pin_budget;
     pin_admitted }
 
+let sources (specs : Tenant.spec array) =
+  let first = Hashtbl.create 4 in
+  let program_of =
+    Array.map
+      (fun (spec : Tenant.spec) ->
+        match Hashtbl.find_opt first spec.source with
+        | Some k -> k
+        | None ->
+          let k = Hashtbl.length first in
+          Hashtbl.add first spec.source k;
+          k)
+      specs
+  in
+  let sources = Array.make (Hashtbl.length first) "" in
+  Hashtbl.iter (fun src k -> sources.(k) <- src) first;
+  (sources, program_of)
+
 (* Admission: equal shares of the shared pinned budget, fixed before
    any tenant exists.  Shares are deterministic, so a solo replay of
    one tenant (the isolation oracle) reproduces its exact grant by
    passing the same share, and tenants can build in any order or in
    parallel.  The k-budget planner never grants more than its share,
    so the admission sum below cannot overflow; it is checked anyway. *)
-let build ?trace_fabric ?perturb ~domains (cfg : config)
-    (specs : Tenant.spec array) =
-  let n = Array.length specs in
-  if n = 0 then invalid_arg "Serve.build: no tenants";
-  let tenants =
-    Tenant.build_many ?trace_fabric ?perturb ~domains ~base:cfg.base
-      ~engine:cfg.engine ~pin_share:(cfg.pin_budget / n) specs
-  in
+let pin_share (cfg : config) ~tenants = cfg.pin_budget / tenants
+
+let admit (cfg : config) tenants =
   let adm = Admission.create ~budget_bytes:cfg.pin_budget in
   Array.iter
     (fun t ->
       if not (Admission.admit adm ~bytes:(Tenant.pinned_granted t)) then
         failwith "Serve.build: planner exceeded its admission share")
     tenants;
-  (tenants, Admission.admitted_bytes adm)
+  Admission.admitted_bytes adm
+
+let build ?trace_fabric ~domains (cfg : config) (specs : Tenant.spec array) =
+  let n = Array.length specs in
+  if n = 0 then invalid_arg "Serve.build: no tenants";
+  let sources, program_of = sources specs in
+  let programs =
+    Cards_util.Pool.map ~domains
+      (Tenant.program ~base:cfg.base ~engine:cfg.engine)
+      sources
+  in
+  let tenants =
+    Cards_util.Pool.map ~domains
+      (fun i ->
+        Tenant.build_from ?trace_fabric ~base:cfg.base ~engine:cfg.engine
+          ~pin_share:(pin_share cfg ~tenants:n)
+          programs.(program_of.(i)) specs.(i))
+      (Array.init n Fun.id)
+  in
+  (tenants, admit cfg tenants)
 
 let run (cfg : config) (specs : Tenant.spec array) =
   let tenants, pin_admitted = build ~domains:1 cfg specs in

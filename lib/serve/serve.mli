@@ -75,19 +75,33 @@ val run : config -> Tenant.spec array -> result
 
 val build :
   ?trace_fabric:bool ->
-  ?perturb:(int -> unit) ->
   domains:int ->
   config ->
   Tenant.spec array ->
   Tenant.t array * int
-(** Build and admit every tenant of a mix, the one build path of
-    {!run} and of the parallel engine.  Each tenant gets an equal
-    [pin_budget / n] share; tenants with the same source share one
-    compiled program and footprint probe, with probes and builds fanned
-    out over [domains] domains ({!Tenant.build_many}, which also
-    explains [perturb]); the sum of the grants is checked against the
-    budget.  Returns the tenants and the admitted bytes.
+(** Build and admit every tenant of a mix, the build path of {!run}.
+    Each tenant gets an equal {!pin_share}; tenants with the same
+    source share one program ({!Tenant.program}, one per entry of
+    {!sources}), and then each tenant is built from its program
+    ({!Tenant.build_from}); each of the two steps fans out over
+    [domains] domains ({!Cards_util.Pool.map}), the calling one
+    included.  The parallel engine schedules the same two steps as
+    jobs of its own.  Finally {!admit}.  Returns the tenants and the
+    admitted bytes.
     @raise Invalid_argument on an empty mix. *)
+
+val sources : Tenant.spec array -> string array * int array
+(** A mix's distinct sources in first-seen order, and each tenant's
+    index into them. *)
+
+val pin_share : config -> tenants:int -> int
+(** Each tenant's admission share of [pin_budget] in a mix of
+    [tenants]: an equal split, fixed before any tenant exists. *)
+
+val admit : config -> Tenant.t array -> int
+(** Admit a built mix's pinned grants against [pin_budget]; returns
+    the admitted bytes.
+    @raise Failure if the grants exceed the budget. *)
 
 val drive :
   config ->

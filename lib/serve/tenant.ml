@@ -90,10 +90,8 @@ let probe_footprint ~(base : R.config) ~engine compiled =
   bytes
 
 (* Creation splits at the compile boundary: [prepare] runs the
-   compiler (which keeps process-global pass counters, so it must stay
-   on one domain), while [build] does only tenant-private work — probe,
-   knapsack, runtime, setup(), arrivals — and is safe to run on any
-   domain. *)
+   compiler, while [build] does only tenant-private work — probe,
+   knapsack, runtime, setup(), arrivals.  Either runs on any domain. *)
 type prep = {
   p_spec : spec;
   p_base : R.config;
@@ -149,41 +147,19 @@ let build (p : prep) =
 (* A mix repeats few programs, so tenants with the same source share
    one compiled program and one footprint probe: the probe runs on a
    scratch runtime under the mix's common base config and engine, so
-   it reads the same bytes for every tenant of that source.  Compiles
-   stay on the calling domain; the probes and the builds fan out over
-   [domains], each after [perturb] of its index. *)
-let build_many ?(trace_fabric = false) ?(perturb = ignore) ~domains ~base
-    ~engine ~pin_share specs =
-  let mapi f xs =
-    Cards_util.Pool.map ~domains
-      (fun k -> perturb k; f k xs.(k))
-      (Array.init (Array.length xs) Fun.id)
-  in
-  let first = Hashtbl.create 4 in
-  let programs = ref [] in
-  let program_of =
-    Array.map
-      (fun spec ->
-        match Hashtbl.find_opt first spec.source with
-        | Some k -> k
-        | None ->
-          let k = Hashtbl.length first in
-          Hashtbl.add first spec.source k;
-          programs := P.compile_source spec.source :: !programs;
-          k)
-      specs
-  in
-  let programs = Array.of_list (List.rev !programs) in
-  let footprints = mapi (fun _ -> probe_footprint ~base ~engine) programs in
-  mapi
-    (fun i spec ->
-      let k = program_of.(i) in
-      build_probed
-        { p_spec = spec; p_base = base; p_engine = engine;
-          p_pin_share = pin_share; p_trace = trace_fabric;
-          p_compiled = programs.(k) }
-        footprints.(k))
-    specs
+   it reads the same bytes for every tenant of that source. *)
+type program = { code : P.compiled; footprint : int array }
+
+let program ~base ~engine source =
+  let code = P.compile_source source in
+  { code; footprint = probe_footprint ~base ~engine code }
+
+let build_from ?(trace_fabric = false) ~base ~engine ~pin_share prog spec =
+  build_probed
+    { p_spec = spec; p_base = base; p_engine = engine;
+      p_pin_share = pin_share; p_trace = trace_fabric;
+      p_compiled = prog.code }
+    prog.footprint
 
 let finished t = t.next_ix >= Array.length t.arrivals
 

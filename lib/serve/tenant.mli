@@ -38,10 +38,9 @@ type t
 
 type prep
 (** A compiled-but-not-built tenant.  {!prepare} runs the MiniC
-    compiler, which keeps process-global pass counters and therefore
-    must stay on a single domain; {!build} does only tenant-private
-    work (footprint probe, k-budget plan, runtime, [setup()], arrival
-    stream) and is safe to run on any domain. *)
+    compiler; {!build} does only tenant-private work (footprint probe,
+    k-budget plan, runtime, [setup()], arrival stream).  Either runs on
+    any domain. *)
 
 val prepare :
   ?trace_fabric:bool ->
@@ -58,23 +57,38 @@ val prepare :
 
 val build : prep -> t
 
-val build_many :
+(** {2 Shared programs}
+
+    A mix's build pipeline in two steps, so that tenants with the same
+    source share one compiled program and one footprint probe:
+    {!program} once per distinct source, then {!build_from} once per
+    tenant.  [build_from ~trace_fabric ~base ~engine ~pin_share
+    (program ~base ~engine spec.source) spec] is
+    [build (prepare ~trace_fabric ~base ~engine ~pin_share spec)], bit
+    for bit.  Both steps run on any domain, and one program can build
+    tenants on several domains at once: it is never mutated. *)
+
+type program
+(** A compiled source with its [setup()] footprint, probed under the
+    [base] and [engine] it was made with. *)
+
+val program :
+  base:Cards_runtime.Runtime.config ->
+  engine:Cards_interp.Machine.engine ->
+  string ->
+  program
+(** Compile a MiniC serving source and probe its footprint. *)
+
+val build_from :
   ?trace_fabric:bool ->
-  ?perturb:(int -> unit) ->
-  domains:int ->
   base:Cards_runtime.Runtime.config ->
   engine:Cards_interp.Machine.engine ->
   pin_share:int ->
-  spec array ->
-  t array
-(** [Array.map (fun s -> build (prepare ... s)) specs], bit for bit,
-    except that tenants with the same [source] share one compiled
-    program and one footprint probe.  Compiles run on the calling
-    domain; the probes (one per distinct source, in first-seen order)
-    and then the builds fan out over [domains] domains
-    ({!Cards_util.Pool.map}), the calling one included.  [perturb k]
-    runs right before probe [k] and before tenant [k]'s build (default:
-    nothing). *)
+  program ->
+  spec ->
+  t
+(** Build a tenant from a {!program} of its [source], made under the
+    same [base] and [engine]; arguments as in {!prepare}. *)
 
 val finished : t -> bool
 val pending : t -> now:int -> bool

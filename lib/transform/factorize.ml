@@ -42,9 +42,10 @@ type layout =
 
 type counters = { mutable splits : int; mutable soa : int }
 
-let last = { splits = 0; soa = 0 }
-let splits_last_run () = last.splits
-let soa_last_run () = last.soa
+(* Per-domain, so a compile can run on any domain. *)
+let last = Domain.DLS.new_key (fun () -> { splits = 0; soa = 0 })
+let splits_last_run () = (Domain.DLS.get last).splits
+let soa_last_run () = (Domain.DLS.get last).soa
 
 (* ---------- fact gathering ---------- *)
 
@@ -475,6 +476,7 @@ let rewrite_func m dsa comp layouts (f : Func.t) =
   Rewrite.finish rw
 
 let run (m : Irmod.t) dsa =
+  let last = Domain.DLS.get last in
   last.splits <- 0;
   last.soa <- 0;
   let counts = Field_counts.compute m dsa in

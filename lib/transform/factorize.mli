@@ -35,10 +35,12 @@
 val run : Cards_ir.Irmod.t -> Cards_analysis.Dsa.t -> Cards_ir.Irmod.t
 
 val splits_last_run : unit -> int
-(** Hot/cold-split structure groups rewritten by the last {!run}. *)
+(** Hot/cold-split structure groups rewritten by the last {!run} on
+    the calling domain. *)
 
 val soa_last_run : unit -> int
-(** AoS→SoA arrays rewritten by the last {!run}. *)
+(** AoS→SoA arrays rewritten by the last {!run} on the calling
+    domain. *)
 
 val chunk : int
 (** Cold records per side-pool chunk (a power of two). *)

@@ -5,8 +5,9 @@ module A = Cards_analysis
 
 type level = Lnone | Ltrackfm | Lcards
 
-let removed = ref 0
-let removed_last_run () = !removed
+(* Per-domain, so a compile can run on any domain. *)
+let removed = Domain.DLS.new_key (fun () -> ref 0)
+let removed_last_run () = !(Domain.DLS.get removed)
 
 (* ---------- address keys ---------- *)
 
@@ -106,7 +107,7 @@ let dedup_block ~level dsa ~fname single_def instrs =
               keys
           in
           if is_covered then begin
-            incr removed;
+            incr (Domain.DLS.get removed);
             None
           end
           else begin
@@ -273,7 +274,7 @@ let transform_func ~level dsa (f : Func.t) =
   Rewrite.finish rw
 
 let run (m : Irmod.t) dsa ~level =
-  removed := 0;
+  Domain.DLS.get removed := 0;
   let m' = Irmod.replace_funcs m (List.map (transform_func ~level dsa) m.funcs) in
   Cards_ir.Verify.check_exn m';
   m'

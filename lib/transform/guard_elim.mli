@@ -26,4 +26,5 @@ val run :
 
 val removed_last_run : unit -> int
 (** Number of guards removed (or hoisted out of loops) by the most
-    recent [run] — observability for tests and reports. *)
+    recent [run] on the calling domain — observability for tests and
+    reports. *)

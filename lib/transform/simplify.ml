@@ -3,8 +3,9 @@ module Instr = Cards_ir.Instr
 module Irmod = Cards_ir.Irmod
 module A = Cards_analysis
 
-let removed = ref 0
-let removed_last_run () = !removed
+(* Per-domain, so a compile can run on any domain. *)
+let removed = Domain.DLS.new_key (fun () -> ref 0)
+let removed_last_run () = !(Domain.DLS.get removed)
 
 (* ---------- constant folding ---------- *)
 
@@ -253,6 +254,7 @@ let run_func f =
       let f, prop_changed = propagate f in
       let f, br_changed = fold_branches f in
       let f, dropped = dce f in
+      let removed = Domain.DLS.get removed in
       removed := !removed + dropped;
       if prop_changed || br_changed || dropped > 0 then go f (budget - 1) else f
     end
@@ -260,7 +262,7 @@ let run_func f =
   go f 8
 
 let run (m : Irmod.t) =
-  removed := 0;
+  Domain.DLS.get removed := 0;
   let m' = Irmod.replace_funcs m (List.map run_func m.funcs) in
   Cards_ir.Verify.check_exn m';
   m'

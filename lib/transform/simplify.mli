@@ -23,4 +23,5 @@ val run : Cards_ir.Irmod.t -> Cards_ir.Irmod.t
 (** Simplify every function; the result verifies. *)
 
 val removed_last_run : unit -> int
-(** Instructions deleted by the most recent [run]. *)
+(** Instructions deleted by the most recent [run] on the calling
+    domain. *)

@@ -7,8 +7,9 @@ module A = Cards_analysis
 
 let clean_suffix = "__clean"
 
-let versioned = ref 0
-let versioned_loops_last_run () = !versioned
+(* Per-domain, so a compile can run on any domain. *)
+let versioned = Domain.DLS.new_key (fun () -> ref 0)
+let versioned_loops_last_run () = !(Domain.DLS.get versioned)
 
 (* ---------- transitive function facts ---------- *)
 
@@ -155,7 +156,7 @@ let version_loops m dsa ~no_alloc ~has_clean (f : Func.t) =
             match find_check_bases dsa cfg f loop nodes with
             | None -> ()
             | Some bases ->
-              incr versioned;
+              incr (Domain.DLS.get versioned);
               (* Clone the loop body: clean copy. *)
               let mapping = Hashtbl.create 8 in
               Bitset.iter
@@ -216,7 +217,7 @@ let version_loops m dsa ~no_alloc ~has_clean (f : Func.t) =
   end
 
 let run (m : Irmod.t) dsa =
-  versioned := 0;
+  Domain.DLS.get versioned := 0;
   let cg = A.Callgraph.compute m in
   let guard_bearing = transitive_flag m cg ~local_flag:has_guard in
   let allocates = transitive_flag m cg ~local_flag:has_alloc in

@@ -30,4 +30,5 @@ val run : Cards_ir.Irmod.t -> Cards_analysis.Dsa.t -> Cards_ir.Irmod.t
     elimination). *)
 
 val versioned_loops_last_run : unit -> int
-(** How many loops received a clean copy in the most recent [run]. *)
+(** How many loops received a clean copy in the most recent [run] on
+    the calling domain. *)

@@ -13,6 +13,11 @@
 # 10 pairs, every workload BENCHMARK.json declares, its run_seconds,
 # seeds from 3001.
 #
+# Before each pair, scripts/vcpu_probe.exe (built in this checkout)
+# times an integer loop run twice on one domain against once on each of
+# two domains at once, and the ratio is stored with the pair: about 2.0
+# when the host gave the runs two CPUs, about 1.0 when it gave one.
+#
 # scripts/ab_summary.py then checks that every sim_* metric is equal
 # within each pair (the simulation is deterministic per seed, so a
 # difference is a behaviour change, not noise) and prints, per workload
@@ -20,7 +25,8 @@
 # out of N in the metric's better direction, a two-sided sign test p
 # and whether the medians differ by more than the base's IQR.  The raw
 # pairs go to FILE as JSON (default .bench_build/ab-REV.json, next to
-# perfbench's own staging tree).
+# perfbench's own staging tree).  Pairs whose probe read below 1.5 are
+# listed in a row of their own per workload.
 #
 # Exits 1 on a failed build or run, an incorrect result or a sim_*
 # mismatch, 2 on bad usage.  The export is removed on exit.
@@ -97,6 +103,10 @@ run() {
   tail -n 1 "$out"
 }
 
+echo "== building the two-domain probe" >&2
+dune build ./scripts/vcpu_probe.exe
+probe_exe="$root/_build/default/scripts/vcpu_probe.exe"
+
 # One short run per side builds perfbench there, outside the pairs.
 first=$(echo $workloads | cut -d' ' -f1)
 for side in "$tmp/base" "$root"; do
@@ -111,14 +121,15 @@ for w in $workloads; do
   while [ "$i" -lt "$pairs" ]; do
     seed=$((seed0 + i))
     if [ $((i % 2)) -eq 0 ]; then order="base change"; else order="change base"; fi
+    probe=$("$probe_exe")
     for side in $order; do
       dir=$root
       [ "$side" = base ] && dir=$tmp/base
       result=$(run "$dir" "$w" "$seed" "$seconds")
-      printf '{"workload":"%s","pair":%d,"seed":%d,"side":"%s","result":%s}\n' \
-        "$w" "$i" "$seed" "$side" "$result" >> "$raw"
+      printf '{"workload":"%s","pair":%d,"seed":%d,"side":"%s","probe":%s,"result":%s}\n' \
+        "$w" "$i" "$seed" "$side" "$probe" "$result" >> "$raw"
     done
-    echo "  $w pair $((i + 1))/$pairs (seed $seed, $order)" >&2
+    echo "  $w pair $((i + 1))/$pairs (seed $seed, $order, probe ${probe}x)" >&2
     i=$((i + 1))
   done
 done

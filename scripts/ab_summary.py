@@ -5,13 +5,17 @@
         --base REV --json OUT.json
 
 RAW.jsonl holds one line per run: {"workload", "pair", "seed", "side"
-("base" or "change"), "result" (perfbench's JSON result line)}.  For
+("base" or "change"), "probe" (the two-domain compute probe read before
+the pair; optional), "result" (perfbench's JSON result line)}.  For
 each workload and end-to-end metric this prints each side's median
 [Q1, Q3], the change's wins out of N pairs in the metric's better
 direction (BENCHMARK.json), a two-sided sign test p over the pairs that
 differ, the median change in percent, and whether the medians differ by
-more than the base's IQR.  It writes the pairs to OUT.json and exits 1
-when a run was incorrect or any sim_* metric differs within a pair.
+more than the base's IQR.  A row of its own per workload lists the
+pairs whose probe read below PROBE_FLOOR: the host's second CPU was
+missing, so a metric that needs two domains ran on one.  It writes the
+pairs to OUT.json and exits 1 when a run was incorrect or any sim_*
+metric differs within a pair.
 """
 
 import argparse
@@ -19,6 +23,9 @@ import json
 import math
 import statistics
 import sys
+
+# Below this two-domain speed-up the second CPU was not really there.
+PROBE_FLOOR = 1.5
 
 
 def quartiles(xs):
@@ -56,8 +63,9 @@ def main():
             if r["workload"] not in workloads:
                 workloads.append(r["workload"])
             key = (r["workload"], r["pair"])
-            pairs.setdefault(key, {"workload": r["workload"], "pair": r["pair"],
-                                   "seed": r["seed"]})[r["side"]] = r["result"]
+            p = pairs.setdefault(key, {"workload": r["workload"], "pair": r["pair"],
+                                       "seed": r["seed"], "probe": r.get("probe")})
+            p[r["side"]] = r["result"]
     ok = True
     for (w, i), p in sorted(pairs.items()):
         complete = True
@@ -102,6 +110,12 @@ def main():
                   "| %d/%d | %.3g | %s |"
                   % (w, name, am, aq1, aq3, bm, bq1, bq3, delta, wins, len(ps),
                      sign_test(wins, losses), "yes" if beyond else "no"))
+        probed = [p for p in ps if p["probe"] is not None]
+        if probed:
+            low = [p for p in probed if p["probe"] < PROBE_FLOOR]
+            print("| %s | probe < %.1fx | %d/%d pairs%s | | | | | |"
+                  % (w, PROBE_FLOOR, len(low), len(probed),
+                     "".join(", seed %d %.2fx" % (p["seed"], p["probe"]) for p in low)))
     with open(args.json, "w") as f:
         json.dump({"base": args.base, "pairs": [p for _, p in sorted(pairs.items())]},
                   f, indent=1)

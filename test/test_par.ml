@@ -19,12 +19,18 @@
       (a [Chan]) delivers in FIFO order between two domains through
       both pops, and poison wakes a blocked pop; [Pool.map] keeps input
       order at any domain count and re-raises the lowest failing
-      index's exception only after every domain has joined; a failing
-      build or request, on the coordinator or on a worker, fails the
-      whole run, re-raised only after every domain has joined.
+      index's exception only after every started helper has returned;
+      the pool reuses its parked domains across calls and completes a
+      map issued from inside a pool job; a failing program job, build
+      or request, on the coordinator or on a worker, fails the whole
+      run, re-raised only after every worker has returned.
 
    4. Shared programs: tenants of one run with the same source share
-      one compiled program, and each still matches its solo run. *)
+      one compiled program, and each still matches its solo run.
+
+   5. A compile runs on any domain: every bundled source compiled on 4
+      domains at once reports exactly what its sequential compile
+      does. *)
 
 module R = Cards_runtime
 module F = Cards_net.Fabric
@@ -64,8 +70,9 @@ let small_mix ?(rate = 0.0) () =
      small_kv ~name:"kv2" ~seed:37 ~fault_rate:0.0 |]
 
 (* The stress perturbation: a seeded spin of up to [perturb] relax
-   steps before every probe, build and request, drawn from the index's
-   own RNG (the engine never overlaps two calls with one index). *)
+   steps before every program job, build and request, drawn from the
+   index's own RNG (the engine never overlaps two calls with one
+   index). *)
 let spin ~seed perturb =
   let rngs =
     Array.init 8 (fun i ->
@@ -154,9 +161,9 @@ let test_engine_degenerate_shapes () =
     (E.run ~domains:4 S.default_config solo)
     (S.run S.default_config solo)
 
-(* Perturbation stress: seeded artificial delays before every probe,
-   build and request randomize the real interleaving; virtual-time
-   results must not move. *)
+(* Perturbation stress: seeded artificial delays before every program
+   job, build and request randomize the real interleaving;
+   virtual-time results must not move. *)
 let perturb_cell ~domains ~perturb seq specs =
   let par =
     E.run ~domains ~perturb:(spin ~seed:perturb perturb) S.default_config
@@ -319,7 +326,7 @@ let test_pool_map () =
              end;
              i));
       (* The calling domain fails at once while every helper is still
-         busy: [map] must join them all before it raises. *)
+         busy: [map] must wait for them all before it raises. *)
       let caller = Domain.self () in
       let failed = Atomic.make false in
       let running = Atomic.make 0 in
@@ -340,9 +347,47 @@ let test_pool_map () =
              done;
              Atomic.decr running;
              i));
-      check Alcotest.int (tag ^ "every domain joined first") 0
+      check Alcotest.int (tag ^ "every helper returned first") 0
         (Atomic.get running))
     [ 1; 2; 4; Array.length xs + 3 ]
+
+let kv_mix () =
+  Array.init 3 (fun i ->
+      small_kv ~name:(Printf.sprintf "kv%d" i) ~seed:(11 + i) ~fault_rate:0.0)
+
+(* The pool parks its domains between calls: repeated maps and engine
+   runs reuse them instead of spawning more, and a map issued from
+   inside a pool job completes even while every pool domain is busy. *)
+let test_pool_reuse () =
+  let before = Pool.spawned () in
+  let xs = Array.init 8 Fun.id in
+  for _ = 1 to 50 do
+    check Alcotest.(array int) "map result" (Array.map succ xs)
+      (Pool.map ~domains:3 succ xs)
+  done;
+  let specs = kv_mix () in
+  let seq = S.run S.default_config specs in
+  for k = 1 to 20 do
+    compare_results
+      (Printf.sprintf "engine run %d" k)
+      (E.run ~domains:2 S.default_config specs)
+      seq
+  done;
+  (* Earlier tests may have grown the pool already; these calls need
+     at most two pool domains. *)
+  check Alcotest.bool
+    (Printf.sprintf "at most 2 pool domains (spawned %d, %d before)"
+       (Pool.spawned ()) before)
+    true
+    (Pool.spawned () <= max before 2);
+  let nested =
+    Pool.map ~domains:3
+      (fun i -> Array.fold_left ( + ) 0 (Pool.map ~domains:3 (( * ) i) xs))
+      xs
+  in
+  check Alcotest.(array int) "a map inside a pool job completes"
+    (Array.map (fun i -> i * 28) xs)
+    nested
 
 let test_engine_worker_failure () =
   (* Tenants whose req() traps: whichever domain claims one first, the
@@ -371,15 +416,19 @@ let test_engine_worker_failure () =
        | exception Cards_interp.Machine.Trap m ->
          check Alcotest.string (tag ^ "the trap is re-raised")
            "division by zero" m);
-      (* Failures injected through the perturbation hook, whose calls
-         on small_mix are its two probes, its three builds, then its
-         requests: the fourth call fails a build, the twelfth the
-         seventh request start.  Either is re-raised, and only once
-         every domain has joined: nothing starts after the re-raise.
-         Starts after the injection are reported, not bounded: a domain
-         that cleared its failure check before the engine recorded the
-         failure may begin one, and how many do depends on how soon the
-         failing domain gets from its raise to that record. *)
+      (* Failures injected through the perturbation hook.  On
+         small_mix its first two calls start the two program jobs
+         (under tenants 0 and 1), then come three builds and the
+         requests; a domain that finds nothing earlier in that order
+         takes the next job that is ready, so with a worker the kv
+         requests may start before the analytics tenant is built.  So
+         the fourth call fails a build or an early request, the twelfth
+         a request.  Either is re-raised, and only once every worker
+         has returned: nothing starts after the re-raise.  Starts after
+         the injection are reported, not bounded: a domain that cleared
+         its failure check before the engine recorded the failure may
+         begin one, and how many do depends on how soon the failing
+         domain gets from its raise to that record. *)
       List.iter
         (fun at ->
           let tag = Printf.sprintf "%sfailure at call %d: " tag at in
@@ -403,11 +452,55 @@ let test_engine_worker_failure () =
           for _ = 1 to 100_000 do
             Domain.cpu_relax ()
           done;
-          check Alcotest.int (tag ^ "every domain joined before the re-raise")
+          check Alcotest.int (tag ^ "every worker returned before the re-raise")
             after (Atomic.get starts);
           Printf.printf "%s%d start(s) after the injection\n" tag
             (Atomic.get late))
         [ 3; 11 ])
+    [ 1; 4 ]
+
+(* A program job that a worker runs fails.  The first call under a
+   source's first tenant is that source's program job (the tenant
+   cannot build or run before it), so the coordinator holds its own
+   program job until a worker has started the other one, which
+   fails. *)
+let test_program_job_failure () =
+  let coordinator = Domain.self () in
+  let first_call = Array.init 2 (fun _ -> Atomic.make true) in
+  let worker_failed = Atomic.make false in
+  let starts = Atomic.make 0 in
+  let perturb i =
+    Atomic.incr starts;
+    if i < 2 && Atomic.exchange first_call.(i) false then
+      if Domain.self () <> coordinator then begin
+        Atomic.set worker_failed true;
+        failwith "injected in a program job"
+      end
+      else begin
+        let deadline = Sys.time () +. 10.0 in
+        while (not (Atomic.get worker_failed)) && Sys.time () < deadline do
+          Domain.cpu_relax ()
+        done
+      end
+  in
+  List.iter
+    (fun domains ->
+      let tag = Printf.sprintf "domains=%d: " domains in
+      Array.iter (fun f -> Atomic.set f true) first_call;
+      Atomic.set worker_failed false;
+      (match E.run ~domains ~perturb S.default_config (small_mix ()) with
+       | _ -> Alcotest.fail (tag ^ "engine returned past a failure")
+       | exception Failure m ->
+         check Alcotest.string (tag ^ "the worker's failure is re-raised")
+           "injected in a program job" m);
+      check Alcotest.bool (tag ^ "a worker ran a program job") true
+        (Atomic.get worker_failed);
+      let after = Atomic.get starts in
+      for _ = 1 to 100_000 do
+        Domain.cpu_relax ()
+      done;
+      check Alcotest.int (tag ^ "every worker returned before the re-raise")
+        after (Atomic.get starts))
     [ 1; 4 ]
 
 (* ---------- 4. shared programs ---------- *)
@@ -439,6 +532,75 @@ let test_shared_programs () =
         b.S.tr_pinned_granted a.S.tr_pinned_granted)
     specs
 
+(* ---------- 5. a compile runs on any domain ---------- *)
+
+module P = Cards.Pipeline
+module W = Cards_workloads
+
+(* The bundled examples: next to the test under dune, under the
+   repository root when the suite runs from there. *)
+let minic_examples () =
+  let dir =
+    List.find Sys.file_exists [ "../examples/minic"; "examples/minic" ]
+  in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".mc")
+  |> List.sort compare
+  |> List.map (fun f ->
+         (f, In_channel.with_open_bin (Filename.concat dir f)
+               In_channel.input_all))
+
+(* Everything a compile reports, read on the domain that ran it; the
+   factorize counts only when the pass ran. *)
+let compile_report (factorize, src) =
+  let c = P.compile_source ~options:{ P.cards_options with factorize } src in
+  let module Fz = Cards_transform.Factorize in
+  ( Cards_ir.Printer.module_to_string c.P.instrumented,
+    Cards_ir.Printer.module_to_string c.P.plain,
+    c.P.infos,
+    (c.P.static_guards, c.P.guards_removed, c.P.versioned_loops),
+    if factorize then Some (Fz.splits_last_run (), Fz.soa_last_run ())
+    else None )
+
+let test_compile_any_domain () =
+  let examples = minic_examples () in
+  check Alcotest.bool "the bundled examples are there" true (examples <> []);
+  let workloads =
+    [ ("analytics", W.Analytics.source ~trips:200 ~query_passes:1);
+      ("analytics-server", W.Analytics.source_server ~trips:200);
+      ("analytics-aos", W.Analytics.source_aos ~trips:200 ~query_passes:1);
+      ("bfs", W.Bfs.source ~nodes:200 ~edges:800 ~sources:1);
+      ("ftfdapml", W.Ftfdapml.source ~cz:4 ~cym:4 ~cxm:4 ~steps:2);
+      ("kv", W.Kv.source ~keys:256 ~nbuckets:64);
+      ("listing1", W.Listing1.source ~elems:1024 ~ntimes:2) ]
+    @ List.map
+        (fun v -> ("chase-" ^ v, W.Pointer_chase.source ~variant:v ~scale:256
+                                   ~passes:2))
+        W.Pointer_chase.variants
+  in
+  let jobs =
+    Array.of_list
+      (List.concat_map
+         (fun (name, src) ->
+           [ (name, (false, src)); (name ^ " factorized", (true, src)) ])
+         examples
+      @ List.map (fun (name, src) -> (name, (false, src))) workloads
+      (* The one bundled source the SoA rewrite fires on. *)
+      @ [ ("analytics-aos factorized",
+           (true, W.Analytics.source_aos ~trips:200 ~query_passes:1)) ])
+  in
+  let seq = Array.map (fun (_, job) -> compile_report job) jobs in
+  for round = 1 to 3 do
+    let par = Pool.map ~domains:4 (fun (_, job) -> compile_report job) jobs in
+    Array.iteri
+      (fun k (name, _) ->
+        check Alcotest.bool
+          (Printf.sprintf "round %d: %s compiles as on one domain" round name)
+          true
+          (par.(k) = seq.(k)))
+      jobs
+  done
+
 let suite =
   [ Alcotest.test_case "parallel = sequential (clean mix)" `Quick
       test_engine_matches_sequential;
@@ -457,6 +619,12 @@ let suite =
     Alcotest.test_case "mailbox try_pop" `Quick test_mailbox_try_pop;
     Alcotest.test_case "pool map order, empty, first failure" `Quick
       test_pool_map;
+    Alcotest.test_case "pool reuses parked domains, nested map" `Quick
+      test_pool_reuse;
     Alcotest.test_case "worker failure poisons the run" `Quick
       test_engine_worker_failure;
-    Alcotest.test_case "shared programs" `Quick test_shared_programs ]
+    Alcotest.test_case "program job failing on a worker" `Quick
+      test_program_job_failure;
+    Alcotest.test_case "shared programs" `Quick test_shared_programs;
+    Alcotest.test_case "compile on any domain" `Quick
+      test_compile_any_domain ]
