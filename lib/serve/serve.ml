@@ -177,7 +177,7 @@ let admit (cfg : config) tenants =
   Array.iter
     (fun t ->
       if not (Admission.admit adm ~bytes:(Tenant.pinned_granted t)) then
-        failwith "Serve.build: planner exceeded its admission share")
+        failwith "Serve.admit: planner exceeded its admission share")
     tenants;
   Admission.admitted_bytes adm
 
