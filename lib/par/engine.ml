@@ -52,36 +52,10 @@ type serving = {
          flags: a release counts before it sets a flag, a claim clears
          the flag before it uncounts *)
   failure : exn option Atomic.t;
-  gen : int Atomic.t;               (* bumped when a job may be ready *)
-  sleepers : int Atomic.t;
-  bell : Mutex.t;
-  rung : Condition.t;
   program : string -> T.program;
   build : T.program -> T.spec -> T.t;
   perturb : int -> unit;
 }
-
-(* A domain with nothing ready while builds are outstanding sleeps
-   until [gen] moves: a program or tenant is published, a tenant is
-   released while builds are outstanding, or the run fails.  The
-   sleeper counts itself before it reads [gen], and a ringer bumps
-   [gen] before it reads the count, so no wake-up is lost. *)
-let ring s =
-  Atomic.incr s.gen;
-  if Atomic.get s.sleepers > 0 then begin
-    Mutex.lock s.bell;
-    Condition.broadcast s.rung;
-    Mutex.unlock s.bell
-  end
-
-let await s g =
-  Atomic.incr s.sleepers;
-  Mutex.lock s.bell;
-  while Atomic.get s.gen = g do
-    Condition.wait s.rung s.bell
-  done;
-  Mutex.unlock s.bell;
-  Atomic.decr s.sleepers
 
 let claim s flag =
   Atomic.get flag
@@ -99,13 +73,10 @@ let release s i =
       true)
 
 (* The first failure wins: it poisons every channel, so a blocked pop
-   wakes, wakes every sleeper, and every domain checks it before it
-   starts a job. *)
+   wakes, and every domain checks it before it starts a job. *)
 let fail s e =
-  if Atomic.compare_and_set s.failure None (Some e) then begin
-    Array.iter (fun c -> Chan.poison c e) s.chans;
-    ring s
-  end
+  if Atomic.compare_and_set s.failure None (Some e) then
+    Array.iter (fun c -> Chan.poison c e) s.chans
 
 (* Every job starts here, on whichever domain claimed it. *)
 let start s i =
@@ -121,7 +92,6 @@ let program_job s =
       Atomic.decr s.jobs;
       start s s.first.(k);
       Atomic.set s.programs.(k) (Some (s.program s.sources.(k)));
-      ring s;
       s.first.(k)
     end
     else scan (k + 1)
@@ -139,7 +109,6 @@ let build_job s =
         s.tenants.(i) <- Some (s.build prog s.specs.(i));
         Atomic.incr s.built;
         ignore (release s i);
-        ring s;
         i
       | _ -> scan (i + 1)
   in
@@ -156,7 +125,7 @@ let request s from =
       if claim s s.free.(i) then begin
         start s i;
         Chan.push s.chans.(i) (T.exec_next (tenant s i));
-        if release s i && not (all_built s) then ring s;
+        ignore (release s i);
         i
       end
       else scan (k + 1)
@@ -173,20 +142,14 @@ let step s from =
     | -1 -> (match build_job s with -1 -> request s from | i -> i)
     | i -> i
 
-(* Nothing was ready: while builds are outstanding something will be
-   published, so sleep until it is; after that, whatever [idle] counts
-   is a release in flight, so spin. *)
-let idle_wait s g = if all_built s then Domain.cpu_relax () else await s g
-
 (* A worker steps until [idle] reads 0: every job is then claimed and
    every live tenant held by another domain, and since tenants only
    ever finish, the domains left can run every tenant still live. *)
 let serve_worker s w =
   let rec loop from =
     if Atomic.get s.idle > 0 && Option.is_none (Atomic.get s.failure) then
-      let g = Atomic.get s.gen in
       match step s from with
-      | -1 -> idle_wait s g; loop from
+      | -1 -> Domain.cpu_relax (); loop from
       | i -> loop (i + 1)
   in
   try loop w with e -> fail s e
@@ -195,9 +158,8 @@ let serve_worker s w =
 let rec build_all s from =
   Option.iter (fun e -> raise (Chan.Poisoned e)) (Atomic.get s.failure);
   if not (all_built s) then begin
-    let g = Atomic.get s.gen in
     match step s from with
-    | -1 -> idle_wait s g; build_all s from
+    | -1 -> Domain.cpu_relax (); build_all s from
     | i -> build_all s (i + 1)
   end
 
@@ -242,10 +204,6 @@ let run_internal ?(perturb = ignore) ~trace_fabric ~domains (cfg : S.config)
       free = flags n false;
       idle = Atomic.make (np + n);
       failure = Atomic.make None;
-      gen = Atomic.make 0;
-      sleepers = Atomic.make 0;
-      bell = Mutex.create ();
-      rung = Condition.create ();
       program = T.program ~base ~engine;
       build = T.build_from ~trace_fabric ~base ~engine ~pin_share;
       perturb }
@@ -276,7 +234,7 @@ let run_traced ?perturb ~domains cfg specs =
    (same build, same drive loop, same serve_next) plus the pure port
    observers — the differential tests' other arm. *)
 let seq_traced (cfg : S.config) (specs : T.spec array) =
-  let tenants, pin_admitted = S.build ~trace_fabric:true ~domains:1 cfg specs in
+  let tenants, pin_admitted = S.build ~trace_fabric:true cfg specs in
   let result =
     S.drive cfg ~tenants ~pin_admitted ~serve:(fun i ~now ->
         T.serve_next tenants.(i) ~now)

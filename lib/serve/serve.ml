@@ -181,27 +181,25 @@ let admit (cfg : config) tenants =
     tenants;
   Admission.admitted_bytes adm
 
-let build ?trace_fabric ~domains (cfg : config) (specs : Tenant.spec array) =
+let build ?trace_fabric (cfg : config) (specs : Tenant.spec array) =
   let n = Array.length specs in
   if n = 0 then invalid_arg "Serve.build: no tenants";
   let sources, program_of = sources specs in
   let programs =
-    Cards_util.Pool.map ~domains
-      (Tenant.program ~base:cfg.base ~engine:cfg.engine)
-      sources
+    Array.map (Tenant.program ~base:cfg.base ~engine:cfg.engine) sources
   in
   let tenants =
-    Cards_util.Pool.map ~domains
-      (fun i ->
+    Array.mapi
+      (fun i spec ->
         Tenant.build_from ?trace_fabric ~base:cfg.base ~engine:cfg.engine
           ~pin_share:(pin_share cfg ~tenants:n)
-          programs.(program_of.(i)) specs.(i))
-      (Array.init n Fun.id)
+          programs.(program_of.(i)) spec)
+      specs
   in
   (tenants, admit cfg tenants)
 
 let run (cfg : config) (specs : Tenant.spec array) =
-  let tenants, pin_admitted = build ~domains:1 cfg specs in
+  let tenants, pin_admitted = build cfg specs in
   drive cfg ~tenants ~pin_admitted
     ~serve:(fun i ~now -> Tenant.serve_next tenants.(i) ~now)
 

@@ -75,19 +75,16 @@ val run : config -> Tenant.spec array -> result
 
 val build :
   ?trace_fabric:bool ->
-  domains:int ->
   config ->
   Tenant.spec array ->
   Tenant.t array * int
-(** Build and admit every tenant of a mix, the build path of {!run}.
-    Each tenant gets an equal {!pin_share}; tenants with the same
-    source share one program ({!Tenant.program}, one per entry of
-    {!sources}), and then each tenant is built from its program
-    ({!Tenant.build_from}); each of the two steps fans out over
-    [domains] domains ({!Cards_util.Pool.map}), the calling one
-    included.  The parallel engine schedules the same two steps as
-    jobs of its own.  Finally {!admit}.  Returns the tenants and the
-    admitted bytes.
+(** Build and admit every tenant of a mix on the calling domain, the
+    build path of {!run}.  Each tenant gets an equal {!pin_share};
+    tenants with the same source share one program ({!Tenant.program},
+    one per entry of {!sources}, in order), and then each tenant is
+    built from its program ({!Tenant.build_from}), in order.  The
+    parallel engine schedules the same two steps as jobs of its own.
+    Finally {!admit}.  Returns the tenants and the admitted bytes.
     @raise Invalid_argument on an empty mix. *)
 
 val sources : Tenant.spec array -> string array * int array

@@ -5,7 +5,7 @@
    to each benchmark pair, because a shared 2-vCPU host does not always
    deliver its second vCPU.
 
-     _build/default/scripts/vcpu_probe.exe [ITERATIONS] *)
+     _build/default/scripts/vcpu_probe.exe *)
 
 let spin n =
   let rec go i x =
@@ -19,11 +19,7 @@ let timed f =
   Unix.gettimeofday () -. t0
 
 let () =
-  let n =
-    if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1)
-    else 40_000_000
-  in
-  let loop () = ignore (Sys.opaque_identity (spin n)) in
+  let loop () = ignore (Sys.opaque_identity (spin 40_000_000)) in
   let one = timed (fun () -> loop (); loop ()) in
   let two =
     timed (fun () ->
